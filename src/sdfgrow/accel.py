@@ -12,13 +12,12 @@ import numpy as np
 
 from .core import DOMAIN_HI, DOMAIN_LO, SampleSet
 from .geom import (
-    DegenerateGeometryError,
     IntersectionCircle,
+    circle_reference_point,
+    circle_triple_points,
     pair_points_2d_batch,
     point_to_circle_distances,
-    sphere_pair_circle_3d,
-    sphere_pair_contact_point,
-    sphere_triple_intersect_3d,
+    sphere_pair_contact_or_circle,
     triple_points_batch,
 )
 
@@ -60,12 +59,6 @@ class SpatialHashGrid:
             out.update(self._cells.get(cell, ()))
         return np.sort(np.fromiter(out, dtype=np.intp, count=len(out)))
 
-    def query_point(self, p):
-        p = np.asarray(p)
-        cell = tuple(np.floor(p / self.cell_size).astype(np.int64))
-        got = self._cells.get(cell, ())
-        return np.fromiter(got, dtype=np.intp, count=len(got))
-
     def cell_keys_of(self, points):
         """Integer cell coordinates of each point, as an (m, d) array."""
         return np.floor(np.asarray(points) / self.cell_size).astype(np.int64)
@@ -88,10 +81,11 @@ def build_ball_grid(sample_set: SampleSet, cell_size=None):
     return grid
 
 
-def grid_points_uncovered(points, sample_set, grid, extra=None):
+def grid_points_uncovered(points, sample_set, grid, hosts=None):
     """Coverage test for many points at once, using the ball grid to keep
-    each test local.  ``extra`` optionally appends one more ball
-    (center, radius) to the set."""
+    each test local.  ``hosts`` optionally gives each point's host spheres,
+    an (m, k) index array padded with -1: a point lies on its hosts'
+    surfaces, so it is never covered by them."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     m = points.shape[0]
     out = np.ones(m, dtype=bool)
@@ -113,12 +107,10 @@ def grid_points_uncovered(points, sample_set, grid, extra=None):
         if cand.size:
             d = np.linalg.norm(points[rows][:, None, :]
                                - all_pts[cand][None, :, :], axis=2)
-            covered = np.any(d < all_radii[cand][None, :] - tol, axis=1)
-            out[rows] = ~covered
-    if extra is not None:
-        c, r = extra
-        d = np.linalg.norm(points - np.asarray(c)[None, :], axis=1)
-        out &= ~(d < r - tol)
+            inside = d < all_radii[cand][None, :] - tol
+            if hosts is not None:
+                inside &= ~(hosts[rows][:, :, None] == cand).any(axis=1)
+            out[rows] = ~inside.any(axis=1)
     return out
 
 
@@ -126,147 +118,178 @@ def grid_points_uncovered(points, sample_set, grid, extra=None):
 # the cache
 # ---------------------------------------------------------------------------
 
+_FULL, _PARTIAL, _CUT = 0, 1, 2
+_STATUS_NAMES = ("full", "partial", "cut")
+
+
+class _Table:
+    """Row-aligned column arrays that double their capacity when full, as
+    SampleSet does.  Rows are never reused; rows past the last one appended
+    read as dead (``alive`` False)."""
+
+    def __init__(self, **columns):         # name -> (row shape, dtype)
+        self.n = 0
+        self._names = tuple(columns)
+        for name, (shape, dtype) in columns.items():
+            setattr(self, name, np.zeros((16,) + shape, dtype=dtype))
+
+    def append(self, **values):
+        """Append rows, one array per column; returns the new row ids."""
+        end = self.n + len(values["alive"])
+        cap = self.alive.shape[0]
+        if end > cap:
+            while cap < end:
+                cap *= 2
+            for name in self._names:
+                old = getattr(self, name)
+                grown = np.zeros((cap,) + old.shape[1:], dtype=old.dtype)
+                grown[:self.n] = old[:self.n]
+                setattr(self, name, grown)
+        for name, value in values.items():
+            getattr(self, name)[self.n:end] = value
+        rows = np.arange(self.n, end)
+        self.n = end
+        return rows
+
+
+def _sign_flags(hosts, signs):
+    """(has a positive host, has a negative host) per row of a host array
+    padded with -1."""
+    real = hosts >= 0
+    hs = signs[np.where(real, hosts, 0)]
+    return (real & (hs > 0)).any(axis=1), (real & (hs < 0)).any(axis=1)
+
+
 class IntersectionCache:
     """Uncovered intersection points (and, in 3D, intersection circles with
     their coverage status) of a sample set, kept current across inserts.
 
-    Points are append-only with an alive mask so row ids stay stable; every
-    alive point passes the coverage test against the current set.
+    Points and circles are each one struct-of-arrays table.  Points carry
+    their host spheres (sorted, padded with -1 to three) and are append-only
+    with an alive flag, so row ids stay stable; every alive point passes the
+    coverage test against the current set, where a point is never covered
+    by its own hosts.  Circles carry center, radius, normal, host pair,
+    status ('full': entirely uncovered, 'partial': cut but with an uncovered
+    triple point left, 'cut': pending resolution) and an alive flag.  Both
+    tables flag rows with a positive or negative host sphere.
     """
 
     def __init__(self, sample_set: SampleSet, grid: SpatialHashGrid):
         self.dim = sample_set.dim
         self.n_synced = len(sample_set)
         self.grid = grid
-        self._pts = np.empty((0, self.dim))
-        self._hosts = []
-        self._alive = np.empty((0,), dtype=bool)
-        self._has_pos = np.empty((0,), dtype=bool)
-        self._has_neg = np.empty((0,), dtype=bool)
-        self._by_sphere = defaultdict(set)
-        self.circles = {}          # (i, j) -> (IntersectionCircle, status)
-        self._circ_by_sphere = defaultdict(set)
-        self._circ_row = {}        # key -> row in the stacked circle arrays
-        self._circ_centers = np.empty((0, 3))
-        self._circ_radii = np.empty((0,))
-        self._circ_normals = np.empty((0, 3))
-        self._circ_alive = np.empty((0,), dtype=bool)
-        self._circ_full = np.empty((0,), dtype=bool)
-        self._circ_has_pos = np.empty((0,), dtype=bool)
-        self._circ_has_neg = np.empty((0,), dtype=bool)
-        self._circ_keys = []
-        self._signs = sample_set.signs.copy()
+        self._pt = _Table(xyz=((self.dim,), np.float64),
+                          hosts=((3,), np.intp), alive=((), bool),
+                          has_pos=((), bool), has_neg=((), bool))
+        self._circ = _Table(center=((3,), np.float64),
+                            radius=((), np.float64),
+                            normal=((3,), np.float64),
+                            hosts=((2,), np.intp), status=((), np.int8),
+                            alive=((), bool), has_pos=((), bool),
+                            has_neg=((), bool))
+        self._pts_of = defaultdict(set)     # sphere -> alive point rows
+        self._circs_of = defaultdict(set)   # sphere -> alive circle rows
         self._kdtrees = None
-
-    def note_sign(self, sign):
-        self._signs = np.append(self._signs, sign)
 
     # -- construction ------------------------------------------------------
 
-    def add_points(self, pts, hosts_list, signs):
-        if len(hosts_list) == 0:
+    def add_points(self, pts, hosts, signs):
+        """Append points with their host rows (sorted, padded with -1)."""
+        hosts = np.asarray(hosts, dtype=np.intp).reshape(-1, 3)
+        if hosts.shape[0] == 0:
             return
-        pts = np.atleast_2d(pts)
-        start = self._pts.shape[0]
-        self._pts = np.vstack([self._pts, pts]) if start else pts.copy()
-        self._alive = np.concatenate([self._alive,
-                                      np.ones(len(hosts_list), dtype=bool)])
-        hp = np.array([np.any(signs[list(h)] > 0) for h in hosts_list])
-        hn = np.array([np.any(signs[list(h)] < 0) for h in hosts_list])
-        self._has_pos = np.concatenate([self._has_pos, hp])
-        self._has_neg = np.concatenate([self._has_neg, hn])
-        for r, hosts in enumerate(hosts_list):
-            self._hosts.append(tuple(int(h) for h in hosts))
-            for h in hosts:
-                self._by_sphere[int(h)].add(start + r)
+        has_pos, has_neg = _sign_flags(hosts, signs)
+        rows = self._pt.append(xyz=pts, hosts=hosts,
+                               alive=np.ones(hosts.shape[0], dtype=bool),
+                               has_pos=has_pos, has_neg=has_neg)
+        for r, hs in zip(rows.tolist(), hosts.tolist()):
+            for h in hs:
+                if h >= 0:
+                    self._pts_of[h].add(r)
         self._kdtrees = None
 
-    def add_circle(self, key, circle, status):
-        key = tuple(sorted(key))
-        fresh = key not in self.circles
-        self.circles[key] = (circle, status)
-        for h in key:
-            self._circ_by_sphere[int(h)].add(key)
-        if fresh:
-            self._circ_row[key] = len(self._circ_keys)
-            self._circ_keys.append(key)
-            self._circ_centers = np.vstack([self._circ_centers,
-                                            circle.center[None, :]])
-            self._circ_radii = np.append(self._circ_radii, circle.radius)
-            self._circ_normals = np.vstack([self._circ_normals,
-                                            circle.normal[None, :]])
-            self._circ_alive = np.append(self._circ_alive, True)
-            self._circ_full = np.append(self._circ_full, status == "full")
-            hsigns = self._signs[list(key)]
-            self._circ_has_pos = np.append(self._circ_has_pos,
-                                           np.any(hsigns > 0))
-            self._circ_has_neg = np.append(self._circ_has_neg,
-                                           np.any(hsigns < 0))
-        else:
-            self._circ_full[self._circ_row[key]] = status == "full"
-        self._kdtrees = None
+    def add_circle(self, circle, status, signs):
+        hosts = np.sort(np.asarray(circle.hosts, dtype=np.intp))[None, :]
+        has_pos, has_neg = _sign_flags(hosts, signs)
+        (row,) = self._circ.append(
+            center=circle.center[None, :], radius=[circle.radius],
+            normal=circle.normal[None, :], hosts=hosts,
+            status=[status], alive=[True],
+            has_pos=has_pos, has_neg=has_neg)
+        for h in hosts[0].tolist():
+            self._circs_of[h].add(int(row))
 
-    def set_circle_status(self, key, status):
-        key = tuple(sorted(key))
-        self.circles[key] = (self.circles[key][0], status)
-        self._circ_full[self._circ_row[key]] = status == "full"
+    def drop_circle(self, row):
+        self._circ.alive[row] = False
+        for h in self._circ.hosts[row].tolist():
+            self._circs_of[h].discard(int(row))
 
-    def drop_circle(self, key):
-        key = tuple(sorted(key))
-        if key in self.circles:
-            del self.circles[key]
-            self._circ_alive[self._circ_row[key]] = False
-            for h in key:
-                self._circ_by_sphere[h].discard(key)
+    def resolve_cut_circles(self):
+        """A cut circle stays, as partial, iff one of its triple points is
+        still cached (alive, with both circle hosts among its hosts)."""
+        cut = self._circ.alive & (self._circ.status == _CUT)
+        for row in np.nonzero(cut)[0]:
+            i, j = self._circ.hosts[row]
+            rows = self.sphere_point_rows(i)
+            if rows and np.any(self._pt.hosts[rows] == j):
+                self._circ.status[row] = _PARTIAL
+            else:
+                self.drop_circle(row)
+
+    def circle(self, row):
+        c = self._circ
+        return IntersectionCircle(center=c.center[row].copy(),
+                                  radius=float(c.radius[row]),
+                                  normal=c.normal[row].copy(),
+                                  hosts=tuple(int(h) for h in c.hosts[row]))
+
+    def _circle_frame(self, p, rows):
+        """Per circle row: the part u of p - center across the normal, its
+        length, the part along the normal, and the circle radius."""
+        normals = self._circ.normal[rows]
+        v = np.asarray(p)[None, :] - self._circ.center[rows]
+        along = np.einsum("md,md->m", v, normals)
+        u = v - along[:, None] * normals
+        return u, np.linalg.norm(u, axis=1), along, self._circ.radius[rows]
 
     def circles_touched_by_ball(self, center, radius, tol):
-        """(swallowed keys, cut keys): live circles entirely inside the ball
+        """(swallowed rows, cut rows): live circles entirely inside the ball
         versus merely reached by its interior.  One vectorized pass."""
-        rows = np.nonzero(self._circ_alive)[0]
+        rows = np.nonzero(self._circ.alive)[0]
         if rows.size == 0:
-            return [], []
-        v = np.asarray(center)[None, :] - self._circ_centers[rows]
-        along = np.einsum("md,md->m", v, self._circ_normals[rows])
-        u = v - along[:, None] * self._circ_normals[rows]
-        nu = np.linalg.norm(u, axis=1)
-        rho = self._circ_radii[rows]
+            return rows, rows
+        _, nu, along, rho = self._circle_frame(center, rows)
         dmin = np.sqrt((nu - rho) ** 2 + along ** 2)
         dmax = np.sqrt((nu + rho) ** 2 + along ** 2)
         swallowed = rows[dmax < radius - tol]
         cut = rows[(dmin < radius - tol) & (dmax >= radius - tol)]
-        return ([self._circ_keys[r] for r in swallowed],
-                [self._circ_keys[r] for r in cut])
+        return swallowed, cut
 
     def circle_extreme_candidates(self, p, include_partial, sign=None,
                                   tol=1e-6, include_degenerate=True):
         """Closest/farthest circle points for every open circle, vectorized.
 
-        Returns (points (m, 3), distances (m,), circle keys).  Axis-degenerate
+        Returns (points (m, 3), distances (m,), host pairs).  Axis-degenerate
         circles (p on the axis, all points equidistant) contribute their
         deterministic reference point, or nothing when
         ``include_degenerate=False``.  ``sign`` keeps only circles with a
         host sphere of that sign.
         """
-        from .geom import circle_reference_point
-        mask = self._circ_alive.copy()
+        c = self._circ
+        mask = c.alive.copy()
         if not include_partial:
-            mask &= self._circ_full
+            mask &= c.status == _FULL
         if sign is not None:
-            mask &= self._circ_has_pos if sign > 0 else self._circ_has_neg
+            mask &= c.has_pos if sign > 0 else c.has_neg
         rows = np.nonzero(mask)[0]
         if rows.size == 0:
             return (np.empty((0, 3)), np.empty((0,)), [])
-        centers = self._circ_centers[rows]
-        normals = self._circ_normals[rows]
-        rho = self._circ_radii[rows]
-        v = np.asarray(p)[None, :] - centers
-        along = np.einsum("md,md->m", v, normals)
-        u = v - along[:, None] * normals
-        nu = np.linalg.norm(u, axis=1)
+        centers = c.center[rows]
+        u, nu, along, rho = self._circle_frame(p, rows)
         ok = nu > tol
         pts = []
         dists = []
-        keys = []
+        hosts = []
         if np.any(ok):
             w = np.nonzero(ok)[0]
             dirs = u[w] / nu[w][:, None]
@@ -276,58 +299,63 @@ class IntersectionCache:
             d_far = np.sqrt((nu[w] + rho[w]) ** 2 + along[w] ** 2)
             pts.extend((near, far))
             dists.extend((d_near, d_far))
-            kk = [self._circ_keys[rows[r]] for r in w]
-            keys.extend(kk)
-            keys.extend(kk)
+            hh = [tuple(h) for h in c.hosts[rows[w]].tolist()]
+            hosts.extend(hh)
+            hosts.extend(hh)
         if include_degenerate:
-            for r in np.nonzero(~ok)[0]:
-                circle = self.circles[self._circ_keys[rows[r]]][0]
-                q = circle_reference_point(circle)
+            for r in rows[~ok]:
+                q = circle_reference_point(self.circle(r))
                 pts.append(q[None, :])
                 dists.append(np.array([np.linalg.norm(q - p)]))
-                keys.append(self._circ_keys[rows[r]])
+                hosts.append(tuple(c.hosts[r].tolist()))
         if not pts:
             return (np.empty((0, 3)), np.empty((0,)), [])
-        return np.vstack(pts), np.concatenate(dists), keys
+        return np.vstack(pts), np.concatenate(dists), hosts
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def circles(self):
+        """Read-only view of the live circles: (i, j) -> (circle, status)."""
+        return {tuple(self._circ.hosts[r].tolist()):
+                (self.circle(r), _STATUS_NAMES[self._circ.status[r]])
+                for r in np.nonzero(self._circ.alive)[0]}
+
     def alive_rows(self):
-        return np.nonzero(self._alive)[0]
+        return np.nonzero(self._pt.alive)[0]
+
+    def point_hosts(self, row):
+        return tuple(h for h in self._pt.hosts[row].tolist() if h >= 0)
 
     def points_and_hosts(self):
-        rows = self.alive_rows()
-        return [(self._pts[r], self._hosts[r]) for r in rows]
+        return [(self._pt.xyz[r], self.point_hosts(r))
+                for r in self.alive_rows()]
 
     def points_array(self, sign=None):
         """(rows, points) of alive cached points; with ``sign`` restricted to
         points lying on at least one sphere of that sign."""
-        mask = self._alive.copy()
+        mask = self._pt.alive.copy()
         if sign is not None:
-            mask &= self._has_pos if sign > 0 else self._has_neg
+            mask &= self._pt.has_pos if sign > 0 else self._pt.has_neg
         rows = np.nonzero(mask)[0]
-        return rows, self._pts[rows]
+        return rows, self._pt.xyz[rows]
 
     def sphere_point_rows(self, i):
-        return [r for r in self._by_sphere.get(int(i), ()) if self._alive[r]]
+        return list(self._pts_of.get(int(i), ()))
 
     def sphere_points(self, i):
         rows = self.sphere_point_rows(i)
         if not rows:
             return np.empty((0, self.dim))
-        return self._pts[rows]
+        return self._pt.xyz[rows]
 
     def sphere_has_open_circle(self, i):
-        return any(k in self.circles for k in self._circ_by_sphere.get(int(i), ()))
+        return bool(self._circs_of.get(int(i)))
 
-    def open_circles(self, include_partial):
-        """Circles with at least one uncovered point; optionally only the
-        completely uncovered ones."""
-        out = []
-        for circle, status in self.circles.values():
-            if status == "full" or include_partial:
-                out.append((circle, status))
-        return out
+    def sphere_full_circles(self, i):
+        """The entirely uncovered circles on sphere i."""
+        return [self.circle(r) for r in self._circs_of.get(int(i), ())
+                if self._circ.status[r] == _FULL]
 
     def sphere_intersects_something(self, i, sample_set):
         pts = sample_set.points
@@ -359,14 +387,15 @@ class IntersectionCache:
         rows = self.alive_rows()
         if rows.size == 0:
             return
-        d = np.linalg.norm(self._pts[rows] - np.asarray(center)[None, :],
+        d = np.linalg.norm(self._pt.xyz[rows] - np.asarray(center)[None, :],
                            axis=1)
         dead = rows[d < radius - tol]
         if dead.size:
-            self._alive[dead] = False
-            for r in dead:
-                for h in self._hosts[r]:
-                    self._by_sphere[h].discard(int(r))
+            self._pt.alive[dead] = False
+            for r, hs in zip(dead.tolist(), self._pt.hosts[dead].tolist()):
+                for h in hs:
+                    if h >= 0:
+                        self._pts_of[h].discard(r)
             self._kdtrees = None
 
 
@@ -507,48 +536,20 @@ def _raster_nominations(sample_set, res):
 
 
 def _classify_circle(circle, sample_set, grid):
-    """('full'|'cut'|None, cutter indices): None means the circle is entirely
-    inside some ball.  'cut' leaves partial-vs-dead to the triple points."""
+    """_FULL, _CUT or None: None means the circle is entirely inside some
+    ball.  _CUT leaves partial-vs-dead to the triple points."""
     tol = sample_set.tol_geom
     c = circle.center
     r = circle.radius
     cand = grid.query_bbox(c - r, c + r)
     cand = cand[(cand != circle.hosts[0]) & (cand != circle.hosts[1])]
     if cand.size == 0:
-        return "full", cand
+        return _FULL
     dmin, dmax = point_to_circle_distances(sample_set.points[cand], circle)
     radii = sample_set.radii[cand]
     if np.any(dmax < radii - tol):
-        return None, cand
-    cutters = cand[dmin < radii - tol]
-    if cutters.size == 0:
-        return "full", cutters
-    return "cut", cutters
-
-
-def _circle_triple_points(circle, sample_set, grid, include_tangential=True):
-    """Exact crossing (and tangential contact) points of a circle with every
-    sphere that can reach it, as (points, host triples)."""
-    tol = sample_set.tol_geom
-    i, j = circle.hosts
-    c = circle.center
-    r = circle.radius
-    cand = grid.query_bbox(c - r, c + r)
-    cand = cand[(cand != i) & (cand != j)]
-    if cand.size == 0:
-        return [], []
-    dmin, _ = point_to_circle_distances(sample_set.points[cand], circle)
-    radii = sample_set.radii[cand]
-    limit = radii + tol if include_tangential else radii - tol
-    cand = cand[dmin < limit]
-    if cand.size == 0:
-        return [], []
-    pts, rows = triple_points_batch(
-        sample_set.points[i], sample_set.radii[i],
-        sample_set.points[j], sample_set.radii[j],
-        sample_set.points[cand], sample_set.radii[cand], tol)
-    hosts = [tuple(sorted((int(i), int(j), int(cand[rr])))) for rr in rows]
-    return list(pts), hosts
+        return None
+    return _CUT if np.any(dmin < radii - tol) else _FULL
 
 
 def build_cache(sample_set: SampleSet, raster_res=None, grid=None,
@@ -580,14 +581,16 @@ def build_cache(sample_set: SampleSet, raster_res=None, grid=None,
     signs = sample_set.signs
     pts = sample_set.points
     radii = sample_set.radii
+    tol = sample_set.tol_geom
 
-    def uncovered_filter(qpts):
+    def add_uncovered(qpts, hosts):
         keep = np.ones(qpts.shape[0], dtype=bool)
         if info is not None:
             keep = ~info.points_buried(qpts)
         if np.any(keep):
-            keep[keep] = grid_points_uncovered(qpts[keep], sample_set, grid)
-        return keep
+            keep[keep] = grid_points_uncovered(qpts[keep], sample_set, grid,
+                                               hosts=hosts[keep])
+        cache.add_points(qpts[keep], hosts[keep], signs)
 
     if sample_set.dim == 2:
         if pairs:
@@ -595,67 +598,39 @@ def build_cache(sample_set: SampleSet, raster_res=None, grid=None,
             qpts, rows = pair_points_2d_batch(
                 pts[pair_arr[:, 0]], radii[pair_arr[:, 0]],
                 pts[pair_arr[:, 1]], radii[pair_arr[:, 1]],
-                sample_set.tol_unique, sample_set.tol_geom)
-            keep = uncovered_filter(qpts)
-            hosts = [(int(pair_arr[r, 0]), int(pair_arr[r, 1]))
-                     for r in rows[keep]]
-            cache.add_points(qpts[keep], hosts, signs)
+                sample_set.tol_unique, tol)
+            hosts = np.column_stack([pair_arr[rows],
+                                     np.full(rows.size, -1, dtype=np.intp)])
+            add_uncovered(qpts, hosts)
         return cache
 
     # 3D: contacts and circles from pairs
     tri_pts, tri_hosts = [], []
     for (i, j) in sorted(pairs):
-        contact = sphere_pair_contact_point(
-            pts[i], radii[i], pts[j], radii[j],
-            sample_set.tol_unique, sample_set.tol_geom)
+        contact, circle = sphere_pair_contact_or_circle(
+            pts[i], radii[i], pts[j], radii[j], (i, j),
+            sample_set.tol_unique, tol)
         if contact is not None:
-            tri_pts.append(contact)
-            tri_hosts.append((i, j))
-            continue
-        try:
-            circle = sphere_pair_circle_3d(
-                pts[i], radii[i], pts[j], radii[j], hosts=(i, j),
-                tol_unique=sample_set.tol_unique,
-                tol_geom=sample_set.tol_geom)
-        except DegenerateGeometryError:
-            continue
-        if circle is None:
-            continue
-        status, _ = _classify_circle(circle, sample_set, grid)
-        if status == "full":
-            cache.add_circle((i, j), circle, "full")
-        elif status == "cut":
-            cache.add_circle((i, j), circle, "cut")  # resolved below
+            tri_pts.append(contact[None, :])
+            tri_hosts.append((i, j, -1))
+        elif circle is not None:
+            status = _classify_circle(circle, sample_set, grid)
+            if status is not None:
+                cache.add_circle(circle, status, signs)   # cut: resolved below
 
-    # triple points (raster-nominated)
-    for (i, j, k) in sorted(triples):
-        try:
-            got = sphere_triple_intersect_3d(pts[i], radii[i], pts[j],
-                                             radii[j], pts[k], radii[k],
-                                             sample_set.tol_geom)
-        except DegenerateGeometryError:
-            continue
-        for q in got:
-            tri_pts.append(q)
-            tri_hosts.append((i, j, k))
+    # triple points of the raster-nominated triples, batched per pair
+    for (i, j), group in itertools.groupby(sorted(triples),
+                                           key=lambda t: t[:2]):
+        ks = np.array([t[2] for t in group], dtype=np.intp)
+        got, rows = triple_points_batch(pts[i], radii[i], pts[j], radii[j],
+                                        pts[ks], radii[ks], tol)
+        order = np.argsort(rows, kind="stable")    # per-triple order
+        tri_pts.append(got[order])
+        tri_hosts.extend((i, j, k) for k in ks[rows[order]].tolist())
     if tri_pts:
-        tri_pts = np.asarray(tri_pts)
-        keep = uncovered_filter(tri_pts)
-        kept_hosts = [tri_hosts[r] for r in np.nonzero(keep)[0]]
-        cache.add_points(tri_pts[keep], kept_hosts, signs)
-
-    # resolve cut circles: partial iff some uncovered triple point remains
-    for key in [k for k, (c, s) in cache.circles.items() if s == "cut"]:
-        alive = False
-        for r in cache.sphere_point_rows(key[0]):
-            h = cache._hosts[r]
-            if key[0] in h and key[1] in h:
-                alive = True
-                break
-        if alive:
-            cache.set_circle_status(key, "partial")
-        else:
-            cache.drop_circle(key)
+        add_uncovered(np.vstack(tri_pts),
+                      np.array(tri_hosts, dtype=np.intp).reshape(-1, 3))
+    cache.resolve_cut_circles()
     return cache
 
 
@@ -688,7 +663,6 @@ def update_cache_on_insert(cache: IntersectionCache, sample_set: SampleSet,
     neighbors = cache.grid.query_bbox(p - r, p + r)
     cache.grid.insert_ball(new_index, p, r)
     cache.n_synced = len(sample_set)
-    cache.note_sign(signs[new_index])
 
     if sample_set.dim == 2:
         if neighbors.size:
@@ -698,84 +672,67 @@ def update_cache_on_insert(cache: IntersectionCache, sample_set: SampleSet,
                 pts[neighbors], radii[neighbors],
                 sample_set.tol_unique, tol)
             if qpts.shape[0]:
-                keep = grid_points_uncovered(qpts, sample_set, cache.grid)
-                hosts = [tuple(sorted((int(neighbors[rr]), new_index)))
-                         for rr in rows[keep]]
-                cache.add_points(qpts[keep], hosts, signs)
+                hosts = np.column_stack([neighbors[rows],
+                                         np.full(rows.size, new_index),
+                                         np.full(rows.size, -1)])
+                keep = grid_points_uncovered(qpts, sample_set, cache.grid,
+                                             hosts=hosts)
+                cache.add_points(qpts[keep], hosts[keep], signs)
         return cache
 
     # 3D: re-classify only the circles the new ball can reach
     swallowed, cut = cache.circles_touched_by_ball(p, r, tol)
-    for key in swallowed:
-        cache.drop_circle(key)
-    for key in cut:
-        circle, _ = cache.circles[key]
-        status, _ = _classify_circle(circle, sample_set, cache.grid)
+    for row in swallowed:
+        cache.drop_circle(row)
+    for row in cut:
+        status = _classify_circle(cache.circle(row), sample_set, cache.grid)
         if status is None:
-            cache.drop_circle(key)
-        elif status == "full":
-            cache.set_circle_status(key, "full")
+            cache.drop_circle(row)
         else:
-            alive = any(key[0] in cache._hosts[rr]
-                        and key[1] in cache._hosts[rr]
-                        for rr in cache.sphere_point_rows(key[0]))
-            # triples with the new sphere are added below; re-resolve after
-            cache.set_circle_status(key, "partial" if alive else "cut")
+            cache._circ.status[row] = status
 
-    # new pair features
-    new_tri_pts, new_tri_hosts = [], []
-    cut_keys = []
-    for j in neighbors:
-        j = int(j)
-        contact = sphere_pair_contact_point(
-            p, r, pts[j], radii[j], sample_set.tol_unique, tol)
+    # new pair features; host rows are sorted, the new index being largest
+    new_pts, new_hosts = [], []
+    for j in neighbors.tolist():
+        contact, circle = sphere_pair_contact_or_circle(
+            p, r, pts[j], radii[j], (new_index, j), sample_set.tol_unique,
+            tol)
         if contact is not None:
-            new_tri_pts.append(contact)
-            new_tri_hosts.append(tuple(sorted((j, new_index))))
-            continue
-        try:
-            circle = sphere_pair_circle_3d(
-                p, r, pts[j], radii[j], hosts=(new_index, j),
-                tol_unique=sample_set.tol_unique, tol_geom=tol)
-        except DegenerateGeometryError:
+            new_pts.append(contact[None, :])
+            new_hosts.append((j, new_index, -1))
             continue
         if circle is None:
             continue
-        status, _ = _classify_circle(circle, sample_set, cache.grid)
-        key = tuple(sorted((new_index, j)))
-        if status == "full":
-            cache.add_circle(key, circle, "full")
-        elif status == "cut":
-            cache.add_circle(key, circle, "cut")
-            cut_keys.append(key)
-        tp, th = _circle_triple_points(circle, sample_set, cache.grid)
-        new_tri_pts.extend(tp)
-        new_tri_hosts.extend(th)
+        status = _classify_circle(circle, sample_set, cache.grid)
+        if status is not None:
+            cache.add_circle(circle, status, signs)
+        c, rho = circle.center, circle.radius
+        third = cache.grid.query_bbox(c - rho, c + rho)
+        third = third[(third != new_index) & (third != j)]
+        got, ks, _ = circle_triple_points(p, r, pts[j], radii[j], circle,
+                                          third, sample_set)
+        new_pts.append(got)
+        new_hosts.extend((min(j, k), max(j, k), new_index)
+                         for k in ks.tolist())
 
-    if new_tri_pts:
-        new_tri_pts = np.asarray(new_tri_pts)
+    new_pts = np.vstack(new_pts) if new_pts else np.empty((0, 3))
+    if new_pts.shape[0]:
+        new_hosts = np.array(new_hosts, dtype=np.intp)
         # dedupe triples discovered through two different circles
         seen = set()
         rows = []
-        for rr, h in enumerate(new_tri_hosts):
-            k = (h, tuple(np.round(new_tri_pts[rr] / tol).astype(np.int64)))
+        for rr, h in enumerate(new_hosts.tolist()):
+            k = (tuple(h),
+                 tuple(np.round(new_pts[rr] / tol).astype(np.int64)))
             if k not in seen:
                 seen.add(k)
                 rows.append(rr)
-        new_tri_pts = new_tri_pts[rows]
-        new_tri_hosts = [new_tri_hosts[rr] for rr in rows]
-        keep = grid_points_uncovered(new_tri_pts, sample_set, cache.grid)
-        hosts = [new_tri_hosts[rr] for rr in np.nonzero(keep)[0]]
-        cache.add_points(new_tri_pts[keep], hosts, signs)
-
-    # resolve any remaining cut circles
-    for key in [k for k, (c, s) in cache.circles.items() if s == "cut"]:
-        alive = any(key[0] in cache._hosts[rr] and key[1] in cache._hosts[rr]
-                    for rr in cache.sphere_point_rows(key[0]))
-        if alive:
-            cache.set_circle_status(key, "partial")
-        else:
-            cache.drop_circle(key)
+        new_pts = new_pts[rows]
+        new_hosts = new_hosts[rows]
+        keep = grid_points_uncovered(new_pts, sample_set, cache.grid,
+                                     hosts=new_hosts)
+        cache.add_points(new_pts[keep], new_hosts[keep], signs)
+    cache.resolve_cut_circles()
     return cache
 
 

@@ -120,6 +120,21 @@ def sphere_pair_contact_point(c1, r1, c2, r2, tol_unique=TOL_UNIQUE,
     return None
 
 
+def sphere_pair_contact_or_circle(c1, r1, c2, r2, hosts=(0, 1),
+                                  tol_unique=TOL_UNIQUE, tol_geom=TOL_GEOM):
+    """Where two sphere surfaces meet: (contact point, None) when they are
+    tangent, (None, IntersectionCircle) when they cross, and (None, None)
+    when they miss each other or share a center."""
+    contact = sphere_pair_contact_point(c1, r1, c2, r2, tol_unique, tol_geom)
+    if contact is not None:
+        return contact, None
+    try:
+        return None, sphere_pair_circle_3d(c1, r1, c2, r2, hosts, tol_unique,
+                                           tol_geom)
+    except DegenerateGeometryError:     # coincident spheres
+        return None, None
+
+
 def sphere_triple_intersect_3d(c1, r1, c2, r2, c3, r3, tol_geom=TOL_GEOM):
     """Common points of three sphere surfaces via trilateration.
 
@@ -256,6 +271,49 @@ def point_to_circle_distances(points, circle: IntersectionCircle):
     return dmin, dmax
 
 
+def circle_triple_points(c1, r1, c2, r2, circle, third, sample_set):
+    """Triple points of the circle where spheres (c1, r1) and (c2, r2) meet
+    with each sphere of ``third`` (sample indices) whose closed ball reaches
+    the circle.
+
+    Returns (points (m, 3), third-sphere index of each point (m,), cut).
+    ``cut`` tells whether some ball interior of ``third`` cuts the circle;
+    the coverage of an uncut circle is uniform, so one probe decides it.
+    """
+    tol = sample_set.tol_geom
+    third = np.asarray(third, dtype=np.intp)
+    if third.size == 0:
+        return np.empty((0, 3)), np.empty((0,), dtype=np.intp), False
+    dmin, _ = point_to_circle_distances(sample_set.points[third], circle)
+    rk = sample_set.radii[third]
+    cut = bool(np.any(dmin < rk - tol))
+    touch = third[dmin < rk + tol]
+    if touch.size == 0:
+        return np.empty((0, 3)), np.empty((0,), dtype=np.intp), cut
+    pts, rows = triple_points_batch(c1, r1, c2, r2, sample_set.points[touch],
+                                    sample_set.radii[touch], tol)
+    return pts, touch[rows], cut
+
+
+def pair_candidate_points_3d(c1, r1, c2, r2, third, sample_set):
+    """Candidate uncovered points where spheres (c1, r1) and (c2, r2) meet,
+    as an (m, 3) array: their tangent contact, or the triple points of their
+    circle with the ``third`` spheres plus, when no ball cuts the circle,
+    its reference point."""
+    contact, circle = sphere_pair_contact_or_circle(
+        c1, r1, c2, r2, tol_unique=sample_set.tol_unique,
+        tol_geom=sample_set.tol_geom)
+    if contact is not None:
+        return contact[None, :]
+    if circle is None:
+        return np.empty((0, 3))
+    pts, _, cut = circle_triple_points(c1, r1, c2, r2, circle, third,
+                                       sample_set)
+    if cut:
+        return pts
+    return np.vstack([pts, circle_reference_point(circle)[None, :]])
+
+
 # ---------------------------------------------------------------------------
 # coverage
 # ---------------------------------------------------------------------------
@@ -298,7 +356,7 @@ def point_uncovered(q, sample_set: SampleSet, exclude=None, indices=None):
                                  exclude=exclude, indices=indices)[0])
 
 
-def probe_point(center, radius, dim):
+def probe_point(center, radius):
     """Canonical surface probe: center + radius along the first axis."""
     q = np.array(center, dtype=np.float64)
     q[0] += radius
@@ -357,66 +415,28 @@ def pair_points_2d_batch(c1, r1, c2, r2, tol_unique=TOL_UNIQUE,
 
 def _pair_points_on_sphere_2d(i, sample_set, neighbor_idx):
     """Crossing and tangency points of circle i with each neighbor circle."""
-    neighbor_idx = np.asarray([j for j in neighbor_idx if j != i],
-                              dtype=np.intp)
-    if neighbor_idx.size == 0:
-        return [], []
-    ci = sample_set.points[i]
-    ri = sample_set.radii[i]
-    pts, rows = pair_points_2d_batch(
-        np.broadcast_to(ci, (neighbor_idx.size, 2)),
-        np.full(neighbor_idx.size, ri),
+    neighbor_idx = np.asarray(neighbor_idx, dtype=np.intp)
+    pts, _ = pair_points_2d_batch(
+        np.broadcast_to(sample_set.points[i], (neighbor_idx.size, 2)),
+        np.full(neighbor_idx.size, sample_set.radii[i]),
         sample_set.points[neighbor_idx],
         sample_set.radii[neighbor_idx],
         sample_set.tol_unique, sample_set.tol_geom)
-    hosts = [(i, int(neighbor_idx[r])) for r in rows]
-    return list(pts), hosts
+    return pts
 
 
 def _sphere_candidate_points_3d(i, sample_set, neighbor_idx):
-    """Candidate uncovered points on sphere i: triple points on each of its
-    intersection circles, a probe per un-crossed circle, and pair tangency
-    contacts."""
-    pts = []
+    """Candidate uncovered points on sphere i: for each neighbor, the pair
+    contact or the circle's triple points (and probe, if uncut)."""
+    neighbor_idx = np.asarray(neighbor_idx, dtype=np.intp)
     ci = sample_set.points[i]
     ri = sample_set.radii[i]
-    tol = sample_set.tol_geom
-    neighbor_idx = [int(j) for j in neighbor_idx if j != i]
-    for j in neighbor_idx:
-        cj = sample_set.points[j]
-        rj = sample_set.radii[j]
-        if np.linalg.norm(cj - ci) <= sample_set.tol_unique:
-            continue
-        contact = sphere_pair_contact_point(ci, ri, cj, rj,
-                                            sample_set.tol_unique, tol)
-        if contact is not None:
-            pts.append(contact)
-            continue
-        circle = sphere_pair_circle_3d(ci, ri, cj, rj, hosts=(i, j),
-                                       tol_unique=sample_set.tol_unique,
-                                       tol_geom=tol)
-        if circle is None:
-            continue
-        others = np.asarray([k for k in neighbor_idx if k != j],
-                            dtype=np.intp)
-        crossed = False
-        if others.size:
-            dmin, _ = point_to_circle_distances(sample_set.points[others],
-                                                circle)
-            rk = sample_set.radii[others]
-            # a ball interior cutting the circle makes its status non-uniform;
-            # the triple points decide it
-            crossed = bool(np.any(dmin < rk - tol))
-            touch = others[dmin < rk + tol]
-            if touch.size:
-                tri, _ = triple_points_batch(ci, ri, cj, rj,
-                                             sample_set.points[touch],
-                                             sample_set.radii[touch], tol)
-                pts.extend(tri)
-        if not crossed:
-            # circle not cut by any ball interior: one probe decides it
-            pts.append(circle_reference_point(circle))
-    return pts
+    pts = [pair_candidate_points_3d(ci, ri, sample_set.points[j],
+                                    sample_set.radii[j],
+                                    neighbor_idx[neighbor_idx != j],
+                                    sample_set)
+           for j in neighbor_idx]
+    return np.vstack(pts) if pts else np.empty((0, 3))
 
 
 def sphere_neighbors(i, sample_set, indices=None):
@@ -447,13 +467,13 @@ def sphere_uncovered_candidates(i, sample_set: SampleSet, indices=None):
     """
     neighbors = sphere_neighbors(i, sample_set, indices)
     if sample_set.dim == 2:
-        pts, _ = _pair_points_on_sphere_2d(i, sample_set, neighbors)
+        pts = _pair_points_on_sphere_2d(i, sample_set, neighbors)
     else:
         pts = _sphere_candidate_points_3d(i, sample_set, neighbors)
-    if pts:
-        return np.asarray(pts), neighbors, True
-    return (probe_point(sample_set.points[i], sample_set.radii[i],
-                        sample_set.dim)[None, :], neighbors, False)
+    if pts.shape[0]:
+        return pts, neighbors, True
+    return (probe_point(sample_set.points[i], sample_set.radii[i])[None, :],
+            neighbors, False)
 
 
 def sphere_has_uncovered_point(i, sample_set: SampleSet, cache=None,
@@ -476,8 +496,7 @@ def sphere_has_uncovered_point(i, sample_set: SampleSet, cache=None,
             # all of its crossing points are covered
             return False
         return point_uncovered(
-            probe_point(sample_set.points[i], sample_set.radii[i],
-                        sample_set.dim),
+            probe_point(sample_set.points[i], sample_set.radii[i]),
             sample_set, indices=indices)
     pts, neighbors, _ = sphere_uncovered_candidates(i, sample_set, indices)
     flags = points_uncovered(pts, sample_set, indices=neighbors)

@@ -17,18 +17,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import IntersectionCache, build_cache
+from .accel import IntersectionCache, build_cache, grid_points_uncovered
 from .core import InputInvalidError, SampleSet, default_max_radius
 from .geom import (
-    circle_reference_point,
+    pair_candidate_points_3d,
     pair_points_2d_batch,
     point_to_circle_distances,
     points_uncovered,
     probe_point,
-    sphere_pair_circle_3d,
-    sphere_pair_contact_point,
     sphere_uncovered_candidates,
-    triple_points_batch,
 )
 
 MODE_REFINE = "refine"    # only fully uncovered circles feed candidates
@@ -112,7 +109,7 @@ def grow_to_points(p, sample_set: SampleSet, cache: IntersectionCache = None,
         if max_dist is not None:
             sel = ud <= max_dist + tol
         for r, row in zip(rows[sel], np.nonzero(sel)[0]):
-            hosts = tuple((h, sample_set[h]) for h in cache._hosts[r])
+            hosts = tuple((h, sample_set[h]) for h in cache.point_hosts(r))
             out.append(GrowToCandidate(upts[row], "intersection", hosts))
 
     # closest/farthest points of uncovered circles (3D); a circle whose axis
@@ -202,12 +199,10 @@ def _existing_sphere_survives(j, sample_set, p, mag, cache, scope):
             # a fully uncovered circle has no cached points; it keeps sphere j
             # valid unless the new ball swallows it whole (a partial cut
             # leaves uncovered arcs behind)
-            for key in cache._circ_by_sphere.get(int(j), ()):
-                got = cache.circles.get(key)
-                if got is not None and got[1] == "full":
-                    _, dmax = point_to_circle_distances(p[None, :], got[0])
-                    if dmax[0] >= mag - tol:
-                        return True
+            for circle in cache.sphere_full_circles(j):
+                _, dmax = point_to_circle_distances(p[None, :], circle)
+                if dmax[0] >= mag - tol:
+                    return True
         had_candidates = bool(jpts.shape[0]) or \
             cache.sphere_intersects_something(j, sample_set)
     else:
@@ -223,13 +218,10 @@ def _existing_sphere_survives(j, sample_set, p, mag, cache, scope):
         new_pts, _ = pair_points_2d_batch(
             cj[None, :], [rj], p[None, :], [mag],
             sample_set.tol_unique, tol)
-        if new_pts.shape[0] == 0:
-            return False if had_candidates or _ball_swallows(p, mag, cj, rj, tol) \
-                else _probe_survives(j, sample_set, p, mag, scope)
-        return bool(np.any(_uncovered_with_extra(new_pts, sample_set, scope,
-                                                 p, mag)))
-    new_pts = _sphere_pair_candidates_3d(cj, rj, j, p, mag, sample_set, scope)
-    if new_pts is None or new_pts.shape[0] == 0:
+    else:
+        new_pts = pair_candidate_points_3d(cj, rj, p, mag,
+                                           scope[scope != j], sample_set)
+    if new_pts.shape[0] == 0:
         return False if had_candidates or _ball_swallows(p, mag, cj, rj, tol) \
             else _probe_survives(j, sample_set, p, mag, scope)
     return bool(np.any(_uncovered_with_extra(new_pts, sample_set, scope,
@@ -241,42 +233,9 @@ def _ball_swallows(p, mag, c, r, tol):
 
 
 def _probe_survives(j, sample_set, p, mag, scope):
-    q = probe_point(sample_set.points[j], sample_set.radii[j],
-                    sample_set.dim)
+    q = probe_point(sample_set.points[j], sample_set.radii[j])
     return bool(_uncovered_with_extra(q[None, :], sample_set, scope,
                                       p, mag)[0])
-
-
-def _sphere_pair_candidates_3d(cj, rj, j, p, mag, sample_set, scope):
-    """Boundary candidates on sphere j introduced by a new ball (p, mag):
-    triple points on the circle of the two (or its probe), or the tangent
-    contact point."""
-    tol = sample_set.tol_geom
-    contact = sphere_pair_contact_point(cj, rj, p, mag,
-                                        sample_set.tol_unique, tol)
-    if contact is not None:
-        return contact[None, :]
-    circle = sphere_pair_circle_3d(cj, rj, p, mag, hosts=(j, -1),
-                                   tol_unique=sample_set.tol_unique,
-                                   tol_geom=tol)
-    if circle is None:
-        return None
-    cand = scope[scope != j]
-    pts = []
-    crossed = False
-    if cand.size:
-        dmin, _ = point_to_circle_distances(sample_set.points[cand], circle)
-        rc = sample_set.radii[cand]
-        crossed = bool(np.any(dmin < rc - tol))
-        touch = cand[dmin < rc + tol]
-        if touch.size:
-            tri, _ = triple_points_batch(cj, rj, p, mag,
-                                         sample_set.points[touch],
-                                         sample_set.radii[touch], tol)
-            pts.extend(tri)
-    if not crossed:
-        pts.append(circle_reference_point(circle))
-    return np.asarray(pts) if pts else np.empty((0, 3))
 
 
 def validity_with_candidate(sample_set: SampleSet, p, s,
@@ -330,12 +289,10 @@ def validity_with_candidate(sample_set: SampleSet, p, s,
                 new_pts.append(qpts)
     else:
         for row in cand_rows:
-            got = _sphere_pair_candidates_3d(
-                p, mag, -1, pts[row], radii[row], sample_set,
-                scope[scope != scope[row]])
-            # candidates must lie on the new sphere: reuse the helper with
-            # roles swapped
-            if got is not None and got.shape[0]:
+            got = pair_candidate_points_3d(p, mag, pts[row], radii[row],
+                                           scope[scope != scope[row]],
+                                           sample_set)
+            if got.shape[0]:
                 new_pts.append(got)
     if new_pts:
         new_pts = np.vstack(new_pts)
@@ -345,7 +302,7 @@ def validity_with_candidate(sample_set: SampleSet, p, s,
         if new_pts.shape[0]:
             flags = points_uncovered(new_pts, sample_set, indices=scope)
             return bool(np.any(flags))
-    q = probe_point(p, mag, sample_set.dim)
+    q = probe_point(p, mag)
     return bool(points_uncovered(q[None, :], sample_set, indices=scope)[0])
 
 
@@ -495,30 +452,13 @@ def min_valid_radius(p, sample_set: SampleSet, lower_bound=0.0, sign=None,
     # uncovered intersection points on same-sign spheres
     rmin = min(rmin, _nearest_cached(cache, p, sign, floor - tol))
 
-    # circle extremes (3D): sorted lazy batches, like the tangent points
+    # circle extremes (3D), then tangent points of same-sign spheres: the
+    # nearest uncovered one of each kind bounds the answer
     if sample_set.dim == 3:
         extreme, ed, _ = cache.circle_extreme_candidates(
             p, mode == MODE_REPAIR, sign=sign, tol=tol)
-        if extreme.shape[0]:
-            sel = (ed >= floor - tol) & (ed < rmin)
-            extreme = extreme[sel]
-            ed = ed[sel]
-            order = np.argsort(ed, kind="stable")
-            for a in range(0, order.size, 32):
-                chunk = order[a:a + 32]
-                chunk = chunk[ed[chunk] < rmin]
-                if chunk.size == 0:
-                    break
-                from .accel import grid_points_uncovered
-                flags = grid_points_uncovered(extreme[chunk], sample_set,
-                                              cache.grid)
-                hit = np.nonzero(flags)[0]
-                if hit.size:
-                    rmin = float(ed[chunk[hit[0]]])
-                    break
-
-    # tangent points of same-sign spheres, nearest first, tested lazily in
-    # sorted batches (the first uncovered one is the answer)
+        rmin = _nearest_uncovered(extreme, ed, floor - tol, rmin, sample_set,
+                                  cache.grid)
     same = (signs == sign) & (d > sample_set.tol_unique)
     rows = np.nonzero(same)[0]
     if rows.size:
@@ -528,29 +468,28 @@ def min_valid_radius(p, sample_set: SampleSet, lower_bound=0.0, sign=None,
         tangent_d = np.concatenate([np.abs(d[rows] - radii[rows]),
                                     d[rows] + radii[rows]])
         tangent_q = np.vstack([q_near, q_far])
-        sel = (tangent_d >= floor - tol) & (tangent_d < rmin)
-        tangent_d = tangent_d[sel]
-        tangent_q = tangent_q[sel]
-        order = np.argsort(tangent_d, kind="stable")
-        grid = getattr(cache, "grid", None)
-        for a in range(0, order.size, 32):
-            chunk = order[a:a + 32]
-            chunk = chunk[tangent_d[chunk] < rmin]
-            if chunk.size == 0:
-                break
-            if grid is not None:
-                from .accel import grid_points_uncovered
-                flags = grid_points_uncovered(tangent_q[chunk], sample_set,
-                                              grid)
-            else:
-                flags = points_uncovered(tangent_q[chunk], sample_set)
-            hit = np.nonzero(flags)[0]
-            if hit.size:
-                rmin = float(tangent_d[chunk[hit[0]]])
-                break
+        rmin = _nearest_uncovered(tangent_q, tangent_d, floor - tol, rmin,
+                                  sample_set, cache.grid)
     if not np.isfinite(rmin):
         rmin = floor
     return float(sign * max(rmin, floor))
+
+
+def _nearest_uncovered(qpts, dists, floor, rmin, sample_set, grid):
+    """Smallest distance in [floor, rmin) whose point is uncovered, else
+    rmin.  Points are coverage-tested lazily, nearest first, in sorted
+    batches of 32: the first uncovered one is the answer."""
+    sel = (dists >= floor) & (dists < rmin)
+    qpts = qpts[sel]
+    dists = dists[sel]
+    order = np.argsort(dists, kind="stable")
+    for a in range(0, order.size, 32):
+        chunk = order[a:a + 32]
+        hit = np.nonzero(grid_points_uncovered(qpts[chunk], sample_set,
+                                               grid))[0]
+        if hit.size:
+            return float(dists[chunk[hit[0]]])
+    return rmin
 
 
 def _nearest_cached(cache, p, sign, floor):

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import strategies as st
 
 from sdfgrow.accel import (
     build_ball_grid,
@@ -9,7 +11,10 @@ from sdfgrow.accel import (
     raster_resolution_auto,
     update_cache_on_insert,
 )
-from sdfgrow.geom import points_uncovered
+from sdfgrow.core import SampleSet
+from sdfgrow.fields import circle_sdf, sample_grid
+from sdfgrow.geom import points_uncovered, sphere_has_uncovered_point
+from sdfgrow.validity import sphere_coverage_margin
 
 from conftest import (
     exhaustive_uncovered_pairs_2d,
@@ -131,6 +136,64 @@ class TestGridCoverage:
         fast = grid_points_uncovered(qs, s, grid)
         slow = points_uncovered(qs, s)
         np.testing.assert_array_equal(fast, slow)
+
+
+# No shrink phase: shrinking drives the base set toward one small ball, whose
+# hash grid then gives every large inserted ball about a million cells.
+PROPERTY = settings(derandomize=True, deadline=None,
+                    phases=[Phase.explicit, Phase.reuse, Phase.generate],
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def balls(dim, min_size, max_size):
+    """Lists of (center, signed radius) with centers in [-0.8, 0.8]^dim."""
+    return st.lists(
+        st.tuples(st.lists(st.floats(-0.8, 0.8), min_size=dim,
+                           max_size=dim),
+                  st.floats(0.1, 0.5), st.sampled_from([-1.0, 1.0])),
+        min_size=min_size, max_size=max_size)
+
+
+class TestProperties:
+    @pytest.mark.parametrize("dim,examples", [(2, 100), (3, 20)])
+    def test_incremental_cache_equals_rebuild(self, dim, examples):
+        @settings(PROPERTY, max_examples=examples)
+        @given(base=balls(dim, 1, 5), inserts=balls(dim, 1, 4))
+        def check(base, inserts):
+            s = SampleSet([c for c, _, _ in base],
+                          [r * sg for _, r, sg in base])
+            cache = build_cache(s)
+            for c, r, sg in inserts:
+                update_cache_on_insert(cache, s, s.append(c, r * sg))
+            rebuilt = build_cache(s)
+            assert cache_point_set(cache) == cache_point_set(rebuilt)
+            assert ({k: v[1] for k, v in cache.circles.items()}
+                    == {k: v[1] for k, v in rebuilt.circles.items()})
+
+        check()
+
+    @pytest.mark.parametrize("dim,res,examples", [(2, (8, 20), 30),
+                                                  (3, (3, 5), 8)])
+    def test_cache_agrees_with_cache_free_decision(self, dim, res, examples):
+        # exact SDF samples of one ball: a valid set whose spheres meet
+        # almost tangentially, where roundoff matters most
+        @settings(PROPERTY, max_examples=examples)
+        @given(center=st.lists(st.floats(-0.2, 0.2), min_size=dim,
+                               max_size=dim),
+               radius=st.floats(0.3, 0.9),
+               n=st.integers(*res), lo=st.floats(-1.4, -1.0))
+        def check(center, radius, n, lo):
+            grid = sample_grid(lambda p: circle_sdf(p, center, radius), dim,
+                               n, lo, -lo)
+            s = grid.to_sample_set()
+            cache = build_cache(s)
+            for i in range(len(s)):
+                cached = sphere_has_uncovered_point(i, s, cache=cache)
+                if cached != sphere_has_uncovered_point(i, s):
+                    # only a borderline sphere may be decided either way
+                    assert abs(sphere_coverage_margin(i, s, 1024)) <= 1e-5
+
+        check()
 
 
 class _Cell:

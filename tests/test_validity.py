@@ -1,5 +1,7 @@
 import numpy as np
+import pytest
 
+from sdfgrow.fields import circle_sdf, sample_grid
 from sdfgrow.validity import (
     check_validity,
     check_validity_oracle,
@@ -44,6 +46,21 @@ class TestCheckValidity:
         ]))
         covered = {v.indices[0] for v in rep.by_kind("fully-covered-sphere")}
         assert covered == {1, 2}
+
+
+class TestExactSdfNearTangency:
+    """Samples of an exact SDF meet almost tangentially.  Their computed
+    crossings can sit ~1e-6 inside a host ball, which must not count as
+    covering them."""
+
+    @pytest.mark.parametrize("dim,center,radius,res,lo", [
+        (2, (-0.08591588, -0.07404521), 0.9844985359875325, 15, -1.4),
+        (3, (0.03, -0.02, 0.01), 0.7, 6, -1.0),
+    ])
+    def test_exact_sdf_is_valid(self, dim, center, radius, res, lo):
+        grid = sample_grid(lambda p: circle_sdf(p, center, radius), dim, res,
+                           lo, -lo)
+        assert check_validity(grid.to_sample_set()).valid
 
 
 class TestOracleAgreement:
