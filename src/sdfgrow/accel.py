@@ -10,7 +10,7 @@ from collections import defaultdict
 
 import numpy as np
 
-from .core import DOMAIN_HI, DOMAIN_LO, SampleSet
+from .core import DOMAIN_HI, DOMAIN_LO, SampleSet, SdfError
 from .geom import (
     IntersectionCircle,
     circle_reference_point,
@@ -439,15 +439,27 @@ def _window(lo_axis, px, res, wlo, whi):
     return a, b + 1
 
 
-def _raster_nominations(sample_set, res):
-    """Pixel-level nomination of sphere tuples that may carry uncovered
-    intersections.
+def _check_key_range(n, res, dim):
+    """Raise SdfError unless the packed int64 keys of the nominations fit: a
+    (pixel, sphere) mark needs res^d * n < 2^63, a sphere tuple n^2 (2D) or
+    n^3 (3D)."""
+    n, res = int(n), int(res)
+    if res ** dim * n >= 2 ** 63 or n ** (3 if dim == 3 else 2) >= 2 ** 63:
+        raise SdfError(f"{n} spheres on a {res}^{dim} raster overflow the "
+                       "int64 nomination keys; use fewer samples or a "
+                       "coarser raster")
+
+
+def _raster_marks(sample_set, res):
+    """Pixel-level marks of the spheres that may carry uncovered
+    intersections: (pixel ids, sphere ids, raster info), one entry per mark.
 
     A pixel is marked for sphere i when the pixel box touches sphere i's
     surface and no ball buries the pixel deeper than its half-diagonal (a
     buried pixel cannot contain an uncovered point).  Pixels marked by >= 2
     spheres nominate pairs, pixels with >= 3 nominate triples (3D).
     """
+    _check_key_range(len(sample_set), res, sample_set.dim)
     dim = sample_set.dim
     pts = sample_set.points
     radii = sample_set.radii
@@ -479,8 +491,8 @@ def _raster_nominations(sample_set, res):
     buried = depth > halfdiag + tol
 
     # pass 2: contour marking
-    pix_ids = []
-    sph_ids = []
+    pix_ids = [np.empty(0, np.int64)]
+    sph_ids = [np.empty(0, np.intp)]
     strides = np.array([res ** a for a in range(dim)])
     for i in range(n):
         reach = radii[i] + halfdiag + tol
@@ -510,38 +522,55 @@ def _raster_nominations(sample_set, res):
 
     info = _RasterInfo(lo=lo, px=px, res=res, buried=buried,
                        halfdiag=halfdiag)
-    triples = set()
-    if not pix_ids:
-        return set(), triples, info
-    pix = np.concatenate(pix_ids)
-    sph = np.concatenate(sph_ids)
-    order = np.argsort(pix, kind="stable")
-    pix = pix[order]
-    sph = sph[order]
-    starts = np.concatenate([[0], np.nonzero(np.diff(pix))[0] + 1, [pix.size]])
-    pair_keys = []
-    for a, b in zip(starts[:-1], starts[1:]):
-        group = np.unique(sph[a:b])
-        if group.size >= 2:
-            iu, jv = np.triu_indices(group.size, 1)
-            pair_keys.append(group[iu].astype(np.int64) * n + group[jv])
-        if dim == 3 and group.size >= 3:
-            for t in itertools.combinations(group.tolist(), 3):
-                triples.add(t)
-    pairs = set()
-    if pair_keys:
-        keys = np.unique(np.concatenate(pair_keys))
-        pairs = {(int(k // n), int(k % n)) for k in keys}
-    return pairs, triples, info
+    return np.concatenate(pix_ids), np.concatenate(sph_ids), info
 
 
-def _classify_circle(circle, sample_set, grid):
+def _combinations(g, k):
+    """All k-subsets of range(g), as a lexicographically sorted (C, k)
+    array."""
+    return np.array(list(itertools.combinations(range(g), k)),
+                    dtype=np.intp).reshape(-1, k)
+
+
+def _sorted_unique(keys):
+    """np.unique of an int array by sorting; numpy's hash-based unique is
+    many times slower on large int64 arrays."""
+    keys = np.sort(keys, axis=None)
+    return keys[np.diff(keys, prepend=keys[:1] - 1) != 0]
+
+
+def _raster_nominations(pix, sph, n, dim):
+    """The sphere pairs (P, 2) and triples (T, 3; none in 2D) that share a
+    marked pixel, unique and lexicographically sorted.
+
+    Marks are packed as pix * n + sph and made unique, which sorts them by
+    pixel and then sphere.  Pixel groups are handled by size: the groups of
+    size g form an (m, g) matrix, indexed once with all k-subsets of
+    range(g), and each k-tuple is packed into one int64 key."""
+    pix, sph = np.divmod(_sorted_unique(pix * n + sph), n)
+    starts = np.flatnonzero(np.diff(pix, prepend=-1))
+    sizes = np.diff(np.append(starts, pix.size))
+    out = []
+    for k in (2, 3):                    # triples only in 3D: k <= dim
+        keys = np.empty(0, np.int64)
+        for g in np.unique(sizes[sizes >= k]).tolist() if k <= dim else ():
+            groups = sph[starts[sizes == g][:, None] + np.arange(g)]
+            combos = _combinations(g, k)
+            key = groups[:, combos[:, 0]]
+            for c in range(1, k):
+                key = key * n + groups[:, combos[:, c]]
+            # merge after each size, so that repeats never pile up
+            keys = _sorted_unique(np.append(keys, key))
+        out.append(keys[:, None] // n ** np.arange(k - 1, -1, -1) % n)
+    return tuple(out)
+
+
+def _classify_circle(circle, sample_set, cand):
     """_FULL, _CUT or None: None means the circle is entirely inside some
-    ball.  _CUT leaves partial-vs-dead to the triple points."""
+    ball.  _CUT leaves partial-vs-dead to the triple points.  ``cand`` must
+    hold every ball that can reach the circle (its hosts may be among
+    them)."""
     tol = sample_set.tol_geom
-    c = circle.center
-    r = circle.radius
-    cand = grid.query_bbox(c - r, c + r)
     cand = cand[(cand != circle.hosts[0]) & (cand != circle.hosts[1])]
     if cand.size == 0:
         return _FULL
@@ -572,12 +601,13 @@ def build_cache(sample_set: SampleSet, raster_res=None, grid=None,
     if n < 2:
         return cache
     if exhaustive:
-        pairs = set(itertools.combinations(range(n), 2))
-        triples = set(itertools.combinations(range(n), 3)) \
-            if sample_set.dim == 3 else set()
+        pairs = _combinations(n, 2)
+        triples = _combinations(n, 3) if sample_set.dim == 3 \
+            else np.empty((0, 3), dtype=np.intp)
         info = None
     else:
-        pairs, triples, info = _raster_nominations(sample_set, raster_res)
+        pix, sph, info = _raster_marks(sample_set, raster_res)
+        pairs, triples = _raster_nominations(pix, sph, n, sample_set.dim)
     signs = sample_set.signs
     pts = sample_set.points
     radii = sample_set.radii
@@ -593,20 +623,19 @@ def build_cache(sample_set: SampleSet, raster_res=None, grid=None,
         cache.add_points(qpts[keep], hosts[keep], signs)
 
     if sample_set.dim == 2:
-        if pairs:
-            pair_arr = np.array(sorted(pairs), dtype=np.intp)
+        if len(pairs):
             qpts, rows = pair_points_2d_batch(
-                pts[pair_arr[:, 0]], radii[pair_arr[:, 0]],
-                pts[pair_arr[:, 1]], radii[pair_arr[:, 1]],
+                pts[pairs[:, 0]], radii[pairs[:, 0]],
+                pts[pairs[:, 1]], radii[pairs[:, 1]],
                 sample_set.tol_unique, tol)
-            hosts = np.column_stack([pair_arr[rows],
+            hosts = np.column_stack([pairs[rows],
                                      np.full(rows.size, -1, dtype=np.intp)])
             add_uncovered(qpts, hosts)
         return cache
 
     # 3D: contacts and circles from pairs
     tri_pts, tri_hosts = [], []
-    for (i, j) in sorted(pairs):
+    for i, j in pairs.tolist():
         contact, circle = sphere_pair_contact_or_circle(
             pts[i], radii[i], pts[j], radii[j], (i, j),
             sample_set.tol_unique, tol)
@@ -614,14 +643,19 @@ def build_cache(sample_set: SampleSet, raster_res=None, grid=None,
             tri_pts.append(contact[None, :])
             tri_hosts.append((i, j, -1))
         elif circle is not None:
-            status = _classify_circle(circle, sample_set, grid)
+            c, rho = circle.center, circle.radius
+            status = _classify_circle(circle, sample_set,
+                                      grid.query_bbox(c - rho, c + rho))
             if status is not None:
                 cache.add_circle(circle, status, signs)   # cut: resolved below
 
     # triple points of the raster-nominated triples, batched per pair
-    for (i, j), group in itertools.groupby(sorted(triples),
-                                           key=lambda t: t[:2]):
-        ks = np.array([t[2] for t in group], dtype=np.intp)
+    starts = np.flatnonzero(np.diff(triples[:, 0] * n + triples[:, 1],
+                                    prepend=-1))
+    bounds = np.append(starts, len(triples)).tolist()
+    for a, b in zip(bounds[:-1], bounds[1:]):
+        i, j = triples[a, :2].tolist()
+        ks = triples[a:b, 2]
         got, rows = triple_points_batch(pts[i], radii[i], pts[j], radii[j],
                                         pts[ks], radii[ks], tol)
         order = np.argsort(rows, kind="stable")    # per-triple order
@@ -685,7 +719,10 @@ def update_cache_on_insert(cache: IntersectionCache, sample_set: SampleSet,
     for row in swallowed:
         cache.drop_circle(row)
     for row in cut:
-        status = _classify_circle(cache.circle(row), sample_set, cache.grid)
+        circle = cache.circle(row)
+        c, rho = circle.center, circle.radius
+        status = _classify_circle(circle, sample_set,
+                                  cache.grid.query_bbox(c - rho, c + rho))
         if status is None:
             cache.drop_circle(row)
         else:
@@ -703,12 +740,12 @@ def update_cache_on_insert(cache: IntersectionCache, sample_set: SampleSet,
             continue
         if circle is None:
             continue
-        status = _classify_circle(circle, sample_set, cache.grid)
+        c, rho = circle.center, circle.radius
+        near = cache.grid.query_bbox(c - rho, c + rho)
+        status = _classify_circle(circle, sample_set, near)
         if status is not None:
             cache.add_circle(circle, status, signs)
-        c, rho = circle.center, circle.radius
-        third = cache.grid.query_bbox(c - rho, c + rho)
-        third = third[(third != new_index) & (third != j)]
+        third = near[(near != new_index) & (near != j)]
         got, ks, _ = circle_triple_points(p, r, pts[j], radii[j], circle,
                                           third, sample_set)
         new_pts.append(got)

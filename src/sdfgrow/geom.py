@@ -296,22 +296,24 @@ def circle_triple_points(c1, r1, c2, r2, circle, third, sample_set):
 
 
 def pair_candidate_points_3d(c1, r1, c2, r2, third, sample_set):
-    """Candidate uncovered points where spheres (c1, r1) and (c2, r2) meet,
-    as an (m, 3) array: their tangent contact, or the triple points of their
-    circle with the ``third`` spheres plus, when no ball cuts the circle,
-    its reference point."""
+    """Candidate uncovered points where spheres (c1, r1) and (c2, r2) meet:
+    their tangent contact, or the triple points of their circle with the
+    ``third`` spheres plus, when no ball cuts the circle, its reference
+    point.  Returns (points (m, 3), third sphere of each point (m,), -1 for
+    the contact and the reference point)."""
     contact, circle = sphere_pair_contact_or_circle(
         c1, r1, c2, r2, tol_unique=sample_set.tol_unique,
         tol_geom=sample_set.tol_geom)
     if contact is not None:
-        return contact[None, :]
+        return contact[None, :], np.full(1, -1, dtype=np.intp)
     if circle is None:
-        return np.empty((0, 3))
-    pts, _, cut = circle_triple_points(c1, r1, c2, r2, circle, third,
-                                       sample_set)
+        return np.empty((0, 3)), np.empty((0,), dtype=np.intp)
+    pts, ks, cut = circle_triple_points(c1, r1, c2, r2, circle, third,
+                                        sample_set)
     if cut:
-        return pts
-    return np.vstack([pts, circle_reference_point(circle)[None, :]])
+        return pts, ks
+    return (np.vstack([pts, circle_reference_point(circle)[None, :]]),
+            np.append(ks, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -319,34 +321,24 @@ def pair_candidate_points_3d(c1, r1, c2, r2, third, sample_set):
 # ---------------------------------------------------------------------------
 
 def points_uncovered(points, sample_set: SampleSet, exclude=None,
-                     indices=None):
+                     indices=None, hosts=None):
     """Vectorized coverage test: for each query point, True iff it is not
     strictly inside any (non-excluded) sample ball.  Boundary points count
-    as uncovered."""
+    as uncovered.  ``hosts`` optionally gives each point's host spheres, an
+    (m, k) index array padded with -1: a point lies on its hosts' surfaces,
+    so it is never covered by them."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    if indices is None:
-        pts = sample_set.points
-        radii = sample_set.radii
-        idx = None
-    else:
-        idx = np.asarray(indices, dtype=np.intp)
-        pts = sample_set.points[idx]
-        radii = sample_set.radii[idx]
-    if pts.shape[0] == 0:
-        return np.ones(points.shape[0], dtype=bool)
-    mask = np.ones(pts.shape[0], dtype=bool)
+    idx = np.arange(len(sample_set)) if indices is None \
+        else np.asarray(indices, dtype=np.intp)
     if exclude is not None and len(exclude) > 0:
-        excl = np.asarray(list(exclude), dtype=np.intp)
-        if idx is None:
-            mask[excl] = False
-        else:
-            mask &= ~np.isin(idx, excl)
-    pts = pts[mask]
-    radii = radii[mask]
-    if pts.shape[0] == 0:
+        idx = idx[~np.isin(idx, np.asarray(list(exclude), dtype=np.intp))]
+    if idx.size == 0:
         return np.ones(points.shape[0], dtype=bool)
-    d = np.linalg.norm(points[:, None, :] - pts[None, :, :], axis=2)
-    inside = d < (radii[None, :] - sample_set.tol_geom)
+    d = np.linalg.norm(points[:, None, :] - sample_set.points[idx][None, :, :],
+                       axis=2)
+    inside = d < (sample_set.radii[idx][None, :] - sample_set.tol_geom)
+    if hosts is not None:
+        inside &= ~(np.asarray(hosts)[:, :, None] == idx).any(axis=1)
     return ~np.any(inside, axis=1)
 
 
@@ -414,29 +406,35 @@ def pair_points_2d_batch(c1, r1, c2, r2, tol_unique=TOL_UNIQUE,
 # ---------------------------------------------------------------------------
 
 def _pair_points_on_sphere_2d(i, sample_set, neighbor_idx):
-    """Crossing and tangency points of circle i with each neighbor circle."""
+    """Crossing and tangency points of circle i with each neighbor circle,
+    with their host rows (i, neighbor)."""
     neighbor_idx = np.asarray(neighbor_idx, dtype=np.intp)
-    pts, _ = pair_points_2d_batch(
+    pts, rows = pair_points_2d_batch(
         np.broadcast_to(sample_set.points[i], (neighbor_idx.size, 2)),
         np.full(neighbor_idx.size, sample_set.radii[i]),
         sample_set.points[neighbor_idx],
         sample_set.radii[neighbor_idx],
         sample_set.tol_unique, sample_set.tol_geom)
-    return pts
+    return pts, np.column_stack([np.full(rows.size, i), neighbor_idx[rows]])
 
 
 def _sphere_candidate_points_3d(i, sample_set, neighbor_idx):
-    """Candidate uncovered points on sphere i: for each neighbor, the pair
-    contact or the circle's triple points (and probe, if uncut)."""
+    """Candidate uncovered points on sphere i, with their host rows (i, j,
+    k or -1): for each neighbor j, the pair contact or the circle's triple
+    points (and probe, if uncut)."""
     neighbor_idx = np.asarray(neighbor_idx, dtype=np.intp)
     ci = sample_set.points[i]
     ri = sample_set.radii[i]
-    pts = [pair_candidate_points_3d(ci, ri, sample_set.points[j],
-                                    sample_set.radii[j],
-                                    neighbor_idx[neighbor_idx != j],
-                                    sample_set)
-           for j in neighbor_idx]
-    return np.vstack(pts) if pts else np.empty((0, 3))
+    pts, hosts = [np.empty((0, 3))], [np.empty((0, 3), dtype=np.intp)]
+    for j in neighbor_idx:
+        got, ks = pair_candidate_points_3d(ci, ri, sample_set.points[j],
+                                           sample_set.radii[j],
+                                           neighbor_idx[neighbor_idx != j],
+                                           sample_set)
+        pts.append(got)
+        hosts.append(np.column_stack([np.full(ks.size, i),
+                                      np.full(ks.size, j), ks]))
+    return np.vstack(pts), np.vstack(hosts)
 
 
 def sphere_neighbors(i, sample_set, indices=None):
@@ -461,19 +459,21 @@ def sphere_uncovered_candidates(i, sample_set: SampleSet, indices=None):
     spheres (and, in 3D, circle probes), or the canonical probe when the
     surface meets nothing.
 
-    Returns (points array, neighbor indices, had_intersections flag).  Any
-    ball able to cover a point of sphere i's surface is one of the returned
-    neighbors, so coverage tests may be restricted to them.
+    Returns (points array, host rows, neighbor indices, had_intersections
+    flag).  Each host row lists the spheres a point lies on, padded with -1;
+    a point is never covered by its hosts.  Any ball able to cover a point
+    of sphere i's surface is one of the returned neighbors, so coverage
+    tests may be restricted to them.
     """
     neighbors = sphere_neighbors(i, sample_set, indices)
     if sample_set.dim == 2:
-        pts = _pair_points_on_sphere_2d(i, sample_set, neighbors)
+        pts, hosts = _pair_points_on_sphere_2d(i, sample_set, neighbors)
     else:
-        pts = _sphere_candidate_points_3d(i, sample_set, neighbors)
+        pts, hosts = _sphere_candidate_points_3d(i, sample_set, neighbors)
     if pts.shape[0]:
-        return pts, neighbors, True
+        return pts, hosts, neighbors, True
     return (probe_point(sample_set.points[i], sample_set.radii[i])[None, :],
-            neighbors, False)
+            np.array([[i]]), neighbors, False)
 
 
 def sphere_has_uncovered_point(i, sample_set: SampleSet, cache=None,
@@ -498,6 +498,7 @@ def sphere_has_uncovered_point(i, sample_set: SampleSet, cache=None,
         return point_uncovered(
             probe_point(sample_set.points[i], sample_set.radii[i]),
             sample_set, indices=indices)
-    pts, neighbors, _ = sphere_uncovered_candidates(i, sample_set, indices)
-    flags = points_uncovered(pts, sample_set, indices=neighbors)
+    pts, hosts, neighbors, _ = sphere_uncovered_candidates(i, sample_set,
+                                                           indices)
+    flags = points_uncovered(pts, sample_set, indices=neighbors, hosts=hosts)
     return bool(np.any(flags))

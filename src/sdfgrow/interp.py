@@ -178,9 +178,11 @@ def score_for_radius(p, s, host, candidate: GrowToCandidate, max_radius):
 # incremental validity of (set + one candidate sphere)
 # ---------------------------------------------------------------------------
 
-def _uncovered_with_extra(qpts, sample_set, scope, center, radius):
-    """Coverage test against the scoped set plus one extra ball."""
-    flags = points_uncovered(qpts, sample_set, indices=scope)
+def _uncovered_with_extra(qpts, sample_set, scope, center, radius,
+                          hosts=None):
+    """Coverage test against the scoped set plus one extra ball; ``hosts``
+    as in points_uncovered."""
+    flags = points_uncovered(qpts, sample_set, indices=scope, hosts=hosts)
     d = np.linalg.norm(np.atleast_2d(qpts) - np.asarray(center)[None, :],
                        axis=1)
     return flags & ~(d < radius - sample_set.tol_geom)
@@ -206,9 +208,9 @@ def _existing_sphere_survives(j, sample_set, p, mag, cache, scope):
         had_candidates = bool(jpts.shape[0]) or \
             cache.sphere_intersects_something(j, sample_set)
     else:
-        jpts, neigh, had_candidates = sphere_uncovered_candidates(
+        jpts, jhosts, neigh, had_candidates = sphere_uncovered_candidates(
             j, sample_set, scope)
-        flags = _uncovered_with_extra(jpts, sample_set, neigh, p, mag)
+        flags = _uncovered_with_extra(jpts, sample_set, neigh, p, mag, jhosts)
         if np.any(flags):
             return True
     # every surviving uncovered point, if any, borders the new ball
@@ -219,8 +221,8 @@ def _existing_sphere_survives(j, sample_set, p, mag, cache, scope):
             cj[None, :], [rj], p[None, :], [mag],
             sample_set.tol_unique, tol)
     else:
-        new_pts = pair_candidate_points_3d(cj, rj, p, mag,
-                                           scope[scope != j], sample_set)
+        new_pts, _ = pair_candidate_points_3d(cj, rj, p, mag,
+                                              scope[scope != j], sample_set)
     if new_pts.shape[0] == 0:
         return False if had_candidates or _ball_swallows(p, mag, cj, rj, tol) \
             else _probe_survives(j, sample_set, p, mag, scope)
@@ -289,9 +291,9 @@ def validity_with_candidate(sample_set: SampleSet, p, s,
                 new_pts.append(qpts)
     else:
         for row in cand_rows:
-            got = pair_candidate_points_3d(p, mag, pts[row], radii[row],
-                                           scope[scope != scope[row]],
-                                           sample_set)
+            got, _ = pair_candidate_points_3d(p, mag, pts[row], radii[row],
+                                              scope[scope != scope[row]],
+                                              sample_set)
             if got.shape[0]:
                 new_pts.append(got)
     if new_pts:

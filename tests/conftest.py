@@ -101,6 +101,33 @@ def exhaustive_uncovered_triples_3d(sample_set):
     return out
 
 
+def raster_nominations_reference(pix, sph, n, dim):
+    """Per-pixel-group nomination from raw (pixel, sphere) marks, the loop
+    that accel._raster_nominations replaced: (set of pairs, set of triples),
+    each tuple sorted."""
+    triples = set()
+    if pix.size == 0:
+        return set(), triples
+    order = np.argsort(pix, kind="stable")
+    pix = pix[order]
+    sph = sph[order]
+    starts = np.concatenate([[0], np.nonzero(np.diff(pix))[0] + 1, [pix.size]])
+    pair_keys = []
+    for a, b in zip(starts[:-1], starts[1:]):
+        group = np.unique(sph[a:b])
+        if group.size >= 2:
+            iu, jv = np.triu_indices(group.size, 1)
+            pair_keys.append(group[iu].astype(np.int64) * n + group[jv])
+        if dim == 3 and group.size >= 3:
+            for t in itertools.combinations(group.tolist(), 3):
+                triples.add(t)
+    pairs = set()
+    if pair_keys:
+        keys = np.unique(np.concatenate(pair_keys))
+        pairs = {(int(k // n), int(k % n)) for k in keys}
+    return pairs, triples
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240601)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, example, given, settings
 from hypothesis import strategies as st
 
 from sdfgrow.accel import (
+    _check_key_range,
+    _raster_marks,
+    _raster_nominations,
     build_ball_grid,
     build_cache,
     cull_to_kappa,
@@ -11,7 +14,7 @@ from sdfgrow.accel import (
     raster_resolution_auto,
     update_cache_on_insert,
 )
-from sdfgrow.core import SampleSet
+from sdfgrow.core import SampleSet, SdfError
 from sdfgrow.fields import circle_sdf, sample_grid
 from sdfgrow.geom import points_uncovered, sphere_has_uncovered_point
 from sdfgrow.validity import sphere_coverage_margin
@@ -21,6 +24,7 @@ from conftest import (
     exhaustive_uncovered_triples_3d,
     make_set,
     random_set,
+    raster_nominations_reference,
 )
 
 
@@ -194,6 +198,56 @@ class TestProperties:
                     assert abs(sphere_coverage_margin(i, s, 1024)) <= 1e-5
 
         check()
+
+
+class TestNominations:
+    @pytest.mark.parametrize("dim,res,examples", [(2, 16, 200), (3, 8, 100)])
+    def test_arrays_equal_reference(self, dim, res, examples):
+        # coarse rasters, so that many pixels carry four or more marks
+        largest = []
+
+        @settings(PROPERTY, max_examples=examples)
+        @given(base=balls(dim, 0, 9))
+        @example(base=[])                                   # no marks at all
+        @example(base=[([0.1] * dim, 0.4, 1.0)])            # one sphere
+        def check(base):
+            s = SampleSet(np.reshape([c for c, _, _ in base], (-1, dim)),
+                          [r * sg for _, r, sg in base])
+            n = len(s)
+            pix, sph, _ = _raster_marks(s, res)
+            pairs, triples = _raster_nominations(pix, sph, n, dim)
+            ref_pairs, ref_triples = raster_nominations_reference(
+                pix, sph, n, dim)
+            assert pairs.dtype == triples.dtype == np.intp
+            np.testing.assert_array_equal(
+                pairs, np.array(sorted(ref_pairs), dtype=np.intp)
+                .reshape(-1, 2))
+            np.testing.assert_array_equal(
+                triples, np.array(sorted(ref_triples), dtype=np.intp)
+                .reshape(-1, 3))
+            if pix.size:
+                marks = np.unique(pix * n + sph)
+                largest.append(np.unique(marks // n,
+                                         return_counts=True)[1].max())
+
+        check()
+        assert max(largest) >= 4
+
+    def test_key_range(self):
+        _check_key_range(2 ** 21 - 1, 64, 3)        # n^3 just below 2^63
+        _check_key_range(3 * 10 ** 9, 64, 2)        # 2D needs n^2 only
+        with pytest.raises(SdfError, match="int64"):
+            _check_key_range(2 ** 21, 64, 3)        # triple keys: n^3
+        with pytest.raises(SdfError, match="int64"):
+            _check_key_range(2 ** 3, 2 ** 20, 3)    # marks: res^3 * n
+        with pytest.raises(SdfError, match="int64"):
+            _check_key_range(2, 2 ** 31, 2)         # marks: res^2 * n
+
+    def test_build_cache_checks_before_allocating(self):
+        # a 2^21-per-axis raster would need 2^66 bytes of depth grid
+        s = make_set([((0, 0, 0), 0.5), ((0.5, 0, 0), 0.5)])
+        with pytest.raises(SdfError, match="int64"):
+            build_cache(s, raster_res=2 ** 21)
 
 
 class _Cell:
