@@ -1,6 +1,7 @@
-"""Acceleration structures: spatial hash grid, the cache of uncovered
-intersections (with a rasterization prefilter to avoid the O(n^(d+1))
-initialization), incremental cache updates, and sphere culling.
+"""Acceleration structures: an array-backed index of the sample balls for
+box queries, the cache of uncovered intersections (with a rasterization
+prefilter to avoid the O(n^(d+1)) initialization), incremental cache
+updates, and sphere culling.
 """
 
 from __future__ import annotations
@@ -32,100 +33,10 @@ def raster_resolution_auto(n, dim):
     return res
 
 
-class SpatialHashGrid:
-    """Uniform hash grid keyed by axis-aligned bounding boxes."""
-
-    def __init__(self, cell_size, dim):
-        self.cell_size = float(cell_size)
-        self.dim = dim
-        self._cells = defaultdict(list)
-
-    def _range(self, lo, hi):
-        lo_i = np.floor(np.asarray(lo) / self.cell_size).astype(np.int64)
-        hi_i = np.floor(np.asarray(hi) / self.cell_size).astype(np.int64)
-        return [range(int(a), int(b) + 1) for a, b in zip(lo_i, hi_i)]
-
-    def insert(self, key, lo, hi):
-        for cell in itertools.product(*self._range(lo, hi)):
-            self._cells[cell].append(key)
-
-    def insert_ball(self, key, center, radius):
-        center = np.asarray(center)
-        self.insert(key, center - radius, center + radius)
-
-    def query_bbox(self, lo, hi):
-        out = set()
-        for cell in itertools.product(*self._range(lo, hi)):
-            out.update(self._cells.get(cell, ()))
-        return np.sort(np.fromiter(out, dtype=np.intp, count=len(out)))
-
-    def cell_keys_of(self, points):
-        """Integer cell coordinates of each point, as an (m, d) array."""
-        return np.floor(np.asarray(points) / self.cell_size).astype(np.int64)
-
-
-def build_ball_grid(sample_set: SampleSet, cell_size=None):
-    """Spatial hash grid with one entry per sample ball bounding box."""
-    pts = sample_set.points
-    radii = sample_set.radii
-    if cell_size is None:
-        if len(sample_set) == 0:
-            cell_size = 1.0
-        else:
-            lo = np.min(pts - radii[:, None], axis=0)
-            hi = np.max(pts + radii[:, None], axis=0)
-            cell_size = max(float(np.max(hi - lo)) / 24.0, 1e-6)
-    grid = SpatialHashGrid(cell_size, sample_set.dim)
-    for i in range(len(sample_set)):
-        grid.insert_ball(i, pts[i], radii[i])
-    return grid
-
-
-def grid_points_uncovered(points, sample_set, grid, hosts=None):
-    """Coverage test for many points at once, using the ball grid to keep
-    each test local.  ``hosts`` optionally gives each point's host spheres,
-    an (m, k) index array padded with -1: a point lies on its hosts'
-    surfaces, so it is never covered by them."""
-    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    m = points.shape[0]
-    out = np.ones(m, dtype=bool)
-    if m == 0:
-        return out
-    tol = sample_set.tol_geom
-    keys = grid.cell_keys_of(points)
-    order = np.lexsort(keys.T[::-1])
-    keys_sorted = keys[order]
-    boundaries = np.nonzero(np.any(np.diff(keys_sorted, axis=0) != 0,
-                                   axis=1))[0] + 1
-    starts = np.concatenate([[0], boundaries, [m]])
-    all_pts = sample_set.points
-    all_radii = sample_set.radii
-    for a, b in zip(starts[:-1], starts[1:]):
-        rows = order[a:b]
-        cell = tuple(keys_sorted[a])
-        cand = np.fromiter(grid._cells.get(cell, ()), dtype=np.intp)
-        if cand.size:
-            d = np.linalg.norm(points[rows][:, None, :]
-                               - all_pts[cand][None, :, :], axis=2)
-            inside = d < all_radii[cand][None, :] - tol
-            if hosts is not None:
-                inside &= ~(hosts[rows][:, :, None] == cand).any(axis=1)
-            out[rows] = ~inside.any(axis=1)
-    return out
-
-
-# ---------------------------------------------------------------------------
-# the cache
-# ---------------------------------------------------------------------------
-
-_FULL, _PARTIAL, _CUT = 0, 1, 2
-_STATUS_NAMES = ("full", "partial", "cut")
-
-
 class _Table:
     """Row-aligned column arrays that double their capacity when full, as
     SampleSet does.  Rows are never reused; rows past the last one appended
-    read as dead (``alive`` False)."""
+    are zeros (an ``alive`` column reads False there)."""
 
     def __init__(self, **columns):         # name -> (row shape, dtype)
         self.n = 0
@@ -135,8 +46,8 @@ class _Table:
 
     def append(self, **values):
         """Append rows, one array per column; returns the new row ids."""
-        end = self.n + len(values["alive"])
-        cap = self.alive.shape[0]
+        end = self.n + len(next(iter(values.values())))
+        cap = getattr(self, self._names[0]).shape[0]
         if end > cap:
             while cap < end:
                 cap *= 2
@@ -150,6 +61,85 @@ class _Table:
         rows = np.arange(self.n, end)
         self.n = end
         return rows
+
+
+class SpatialHashGrid:
+    """Index of the sample balls for box queries.  Each ball's bounding box,
+    padded by ``tol``, is one row of a table that doubles its capacity when
+    full; a query is one vectorized overlap test against every row, whatever
+    the balls' sizes.  Ball i is the i-th ball inserted, i.e. sample row i.
+    The class keeps its former name, under which bench/tracer.py traces
+    ``query_bbox``."""
+
+    def __init__(self, dim, tol):
+        self.dim = dim
+        self.tol = float(tol)
+        self._box = _Table(lo=((dim,), np.float64), hi=((dim,), np.float64))
+
+    def __len__(self):
+        return self._box.n
+
+    def insert_balls(self, centers, radii):
+        """Append balls (one center and radius, or arrays of them)."""
+        centers = np.reshape(centers, (-1, self.dim))
+        reach = np.reshape(radii, (-1, 1)) + self.tol
+        self._box.append(lo=centers - reach, hi=centers + reach)
+
+    def query_bbox(self, lo, hi):
+        """Ascending indices of the balls whose padded box meets [lo, hi]."""
+        n = self._box.n
+        meets = (self._box.lo[:n] <= hi) & (self._box.hi[:n] >= lo)
+        return np.flatnonzero(meets.all(axis=1))
+
+
+def build_ball_grid(sample_set: SampleSet):
+    """Ball index holding every sample ball of the set."""
+    grid = SpatialHashGrid(sample_set.dim, sample_set.tol_geom)
+    grid.insert_balls(sample_set.points, sample_set.radii)
+    return grid
+
+
+# points x candidate balls of one exact coverage test in grid_points_uncovered
+_PAIR_BUDGET = 1 << 15
+
+
+def grid_points_uncovered(points, sample_set, grid, hosts=None):
+    """Coverage test for many points at once.  Each test is local: the grid
+    gives the balls near the points' bounding box, and a point set whose
+    pairs with those balls exceed _PAIR_BUDGET is split at the median of its
+    longest axis first.  ``hosts`` optionally gives each point's host
+    spheres, an (m, k) index array padded with -1: a point lies on its
+    hosts' surfaces, so it is never covered by them."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    out = np.ones(points.shape[0], dtype=bool)
+    tol = sample_set.tol_geom
+    pending = [np.arange(points.shape[0])] if points.shape[0] else []
+    while pending:
+        rows = pending.pop()
+        lo = points[rows].min(axis=0)
+        hi = points[rows].max(axis=0)
+        cand = grid.query_bbox(lo, hi)
+        if rows.size > 1 and rows.size * cand.size > _PAIR_BUDGET:
+            axis = int(np.argmax(hi - lo))
+            half = rows.size // 2
+            split = np.argpartition(points[rows, axis], half)
+            pending += [rows[split[:half]], rows[split[half:]]]
+        elif cand.size:
+            d = np.linalg.norm(points[rows][:, None, :]
+                               - sample_set.points[cand][None, :, :], axis=2)
+            inside = d < sample_set.radii[cand][None, :] - tol
+            if hosts is not None:
+                inside &= ~(hosts[rows][:, :, None] == cand).any(axis=1)
+            out[rows] = ~inside.any(axis=1)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# the cache
+# ---------------------------------------------------------------------------
+
+_FULL, _PARTIAL, _CUT = 0, 1, 2
+_STATUS_NAMES = ("full", "partial", "cut")
 
 
 def _sign_flags(hosts, signs):
@@ -433,10 +423,13 @@ def _raster_bounds(sample_set):
     return lo, hi
 
 
-def _window(lo_axis, px, res, wlo, whi):
-    a = int(np.clip(np.floor((wlo - lo_axis) / px), 0, res - 1))
-    b = int(np.clip(np.floor((whi - lo_axis) / px), 0, res - 1))
-    return a, b + 1
+def _windows(lo, px, res, centers, reach):
+    """Per ball, the pixel slices (one per axis) of the box centers +- reach,
+    clipped to the raster."""
+    a = np.clip(np.floor((centers - reach[:, None] - lo) / px), 0, res - 1)
+    b = np.clip(np.floor((centers + reach[:, None] - lo) / px), 0, res - 1)
+    return [tuple(map(slice, ai, bi)) for ai, bi in
+            zip(a.astype(np.intp).tolist(), (b.astype(np.intp) + 1).tolist())]
 
 
 def _check_key_range(n, res, dim):
@@ -470,54 +463,33 @@ def _raster_marks(sample_set, res):
     halfdiag = 0.5 * float(np.linalg.norm(px))
     centers_ax = [lo[a] + (np.arange(res) + 0.5) * px[a] for a in range(dim)]
 
+    def dist_to_center(i, sl):
+        """Distances from ball i's center to the pixel centers of window sl."""
+        mesh = np.ix_(*[centers_ax[a][sl[a]] - pts[i, a] for a in range(dim)])
+        return np.sqrt(sum(x ** 2 for x in mesh))
+
     # pass 1: burial depth
     depth = np.zeros((res,) * dim)
-    for i in range(n):
-        if radii[i] <= halfdiag:
-            continue
-        rngs = [_window(lo[a], px[a], res, pts[i, a] - radii[i],
-                        pts[i, a] + radii[i]) for a in range(dim)]
-        axes = [centers_ax[a][rngs[a][0]:rngs[a][1]] - pts[i, a]
-                for a in range(dim)]
-        if dim == 2:
-            d = np.sqrt(axes[0][:, None] ** 2 + axes[1][None, :] ** 2)
-            sl = (slice(*rngs[0]), slice(*rngs[1]))
-        else:
-            d = np.sqrt(axes[0][:, None, None] ** 2
-                        + axes[1][None, :, None] ** 2
-                        + axes[2][None, None, :] ** 2)
-            sl = (slice(*rngs[0]), slice(*rngs[1]), slice(*rngs[2]))
-        np.maximum(depth[sl], radii[i] - d, out=depth[sl])
+    windows = _windows(lo, px, res, pts, radii)
+    for i in np.flatnonzero(radii > halfdiag).tolist():
+        sl = windows[i]
+        np.maximum(depth[sl], radii[i] - dist_to_center(i, sl),
+                   out=depth[sl])
     buried = depth > halfdiag + tol
 
     # pass 2: contour marking
     pix_ids = [np.empty(0, np.int64)]
     sph_ids = [np.empty(0, np.intp)]
-    strides = np.array([res ** a for a in range(dim)])
+    windows = _windows(lo, px, res, pts, radii + halfdiag + tol)
     for i in range(n):
-        reach = radii[i] + halfdiag + tol
-        rngs = [_window(lo[a], px[a], res, pts[i, a] - reach,
-                        pts[i, a] + reach) for a in range(dim)]
-        axes = [centers_ax[a][rngs[a][0]:rngs[a][1]] - pts[i, a]
-                for a in range(dim)]
-        idx_ax = [np.arange(rngs[a][0], rngs[a][1]) for a in range(dim)]
-        if dim == 2:
-            d = np.sqrt(axes[0][:, None] ** 2 + axes[1][None, :] ** 2)
-            sl = (slice(*rngs[0]), slice(*rngs[1]))
-            flat = (idx_ax[0][:, None] * strides[0]
-                    + idx_ax[1][None, :] * strides[1])
-        else:
-            d = np.sqrt(axes[0][:, None, None] ** 2
-                        + axes[1][None, :, None] ** 2
-                        + axes[2][None, None, :] ** 2)
-            sl = (slice(*rngs[0]), slice(*rngs[1]), slice(*rngs[2]))
-            flat = (idx_ax[0][:, None, None] * strides[0]
-                    + idx_ax[1][None, :, None] * strides[1]
-                    + idx_ax[2][None, None, :] * strides[2])
-        mark = (np.abs(d - radii[i]) <= halfdiag + tol) & ~buried[sl]
-        hits = flat[mark]
+        sl = windows[i]
+        mark = ((np.abs(dist_to_center(i, sl) - radii[i]) <= halfdiag + tol)
+                & ~buried[sl])
+        # pixel id: sum of index_a * res^a
+        hits = sum((ix + sl[a].start) * res ** a
+                   for a, ix in enumerate(np.nonzero(mark)))
         if hits.size:
-            pix_ids.append(hits.ravel())
+            pix_ids.append(hits)
             sph_ids.append(np.full(hits.size, i, dtype=np.intp))
 
     info = _RasterInfo(lo=lo, px=px, res=res, buried=buried,
@@ -694,8 +666,11 @@ def update_cache_on_insert(cache: IntersectionCache, sample_set: SampleSet,
     # old points newly swallowed by the inserted ball
     cache.remove_points_in_ball(p, r, tol)
 
+    # every ball that reaches the new sphere; as a ball that reaches a
+    # circle on the new sphere reaches the new ball's box, this is also the
+    # candidate set of every new circle and of its third spheres
     neighbors = cache.grid.query_bbox(p - r, p + r)
-    cache.grid.insert_ball(new_index, p, r)
+    cache.grid.insert_balls(p, r)
     cache.n_synced = len(sample_set)
 
     if sample_set.dim == 2:
@@ -718,15 +693,17 @@ def update_cache_on_insert(cache: IntersectionCache, sample_set: SampleSet,
     swallowed, cut = cache.circles_touched_by_ball(p, r, tol)
     for row in swallowed:
         cache.drop_circle(row)
-    for row in cut:
-        circle = cache.circle(row)
-        c, rho = circle.center, circle.radius
-        status = _classify_circle(circle, sample_set,
-                                  cache.grid.query_bbox(c - rho, c + rho))
-        if status is None:
-            cache.drop_circle(row)
-        else:
-            cache._circ.status[row] = status
+    if cut.size:
+        reach = cache._circ.radius[cut][:, None]
+        centers = cache._circ.center[cut]
+        near = cache.grid.query_bbox((centers - reach).min(axis=0),
+                                     (centers + reach).max(axis=0))
+        for row in cut:
+            status = _classify_circle(cache.circle(row), sample_set, near)
+            if status is None:
+                cache.drop_circle(row)
+            else:
+                cache._circ.status[row] = status
 
     # new pair features; host rows are sorted, the new index being largest
     new_pts, new_hosts = [], []
@@ -740,14 +717,12 @@ def update_cache_on_insert(cache: IntersectionCache, sample_set: SampleSet,
             continue
         if circle is None:
             continue
-        c, rho = circle.center, circle.radius
-        near = cache.grid.query_bbox(c - rho, c + rho)
-        status = _classify_circle(circle, sample_set, near)
+        status = _classify_circle(circle, sample_set, neighbors)
         if status is not None:
             cache.add_circle(circle, status, signs)
-        third = near[(near != new_index) & (near != j)]
         got, ks, _ = circle_triple_points(p, r, pts[j], radii[j], circle,
-                                          third, sample_set)
+                                          neighbors[neighbors != j],
+                                          sample_set)
         new_pts.append(got)
         new_hosts.extend((min(j, k), max(j, k), new_index)
                          for k in ks.tolist())
@@ -755,15 +730,14 @@ def update_cache_on_insert(cache: IntersectionCache, sample_set: SampleSet,
     new_pts = np.vstack(new_pts) if new_pts else np.empty((0, 3))
     if new_pts.shape[0]:
         new_hosts = np.array(new_hosts, dtype=np.intp)
-        # dedupe triples discovered through two different circles
-        seen = set()
-        rows = []
-        for rr, h in enumerate(new_hosts.tolist()):
-            k = (tuple(h),
-                 tuple(np.round(new_pts[rr] / tol).astype(np.int64)))
-            if k not in seen:
-                seen.add(k)
-                rows.append(rr)
+        # dedupe triples discovered through two different circles, keeping
+        # the first: key = (hosts, point rounded to tol)
+        keys = np.column_stack([new_hosts,
+                                np.round(new_pts / tol).astype(np.int64)])
+        first = {}
+        for rr, k in enumerate(map(tuple, keys.tolist())):
+            first.setdefault(k, rr)
+        rows = list(first.values())
         new_pts = new_pts[rows]
         new_hosts = new_hosts[rows]
         keep = grid_points_uncovered(new_pts, sample_set, cache.grid,

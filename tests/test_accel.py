@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sdfgrow.accel import (
+    _PAIR_BUDGET,
     _check_key_range,
     _raster_marks,
     _raster_nominations,
@@ -142,10 +145,7 @@ class TestGridCoverage:
         np.testing.assert_array_equal(fast, slow)
 
 
-# No shrink phase: shrinking drives the base set toward one small ball, whose
-# hash grid then gives every large inserted ball about a million cells.
 PROPERTY = settings(derandomize=True, deadline=None,
-                    phases=[Phase.explicit, Phase.reuse, Phase.generate],
                     suppress_health_check=[HealthCheck.too_slow])
 
 
@@ -158,14 +158,101 @@ def balls(dim, min_size, max_size):
         min_size=min_size, max_size=max_size)
 
 
+def ball_set(dim, balls):
+    return SampleSet(np.reshape([c for c, _, _ in balls], (-1, dim)),
+                     [r * sg for _, r, sg in balls])
+
+
+class TestBallIndex:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_query_equals_brute_force(self, dim):
+        # inserts past the initial capacity of 16 rows grow the table; a
+        # "touch" box starts gap * tol past one ball's box on one axis
+        @settings(PROPERTY, max_examples=80)
+        @given(base=balls(dim, 0, 5), inserts=balls(dim, 0, 30),
+               corners=st.lists(st.floats(-1.5, 1.5), min_size=2 * dim,
+                                max_size=2 * dim),
+               touch=st.none() | st.tuples(
+                   st.integers(0, 34), st.integers(0, dim - 1),
+                   st.sampled_from([-2.0, -0.5, 0.5, 2.0])))
+        def check(base, inserts, corners, touch):
+            s = ball_set(dim, base)
+            grid = build_ball_grid(s)
+            for c, r, _ in inserts:
+                grid.insert_balls(np.array(c), r)
+            lo = np.minimum(corners[:dim], corners[dim:])
+            hi = np.maximum(corners[:dim], corners[dim:])
+            if touch is not None and base + inserts:
+                i, a, gap = touch
+                c, r, _ = (base + inserts)[i % len(base + inserts)]
+                lo, hi = np.subtract(c, r), np.add(c, r)
+                lo[a] = c[a] + r + gap * s.tol_geom
+                hi[a] = lo[a] + 0.1
+            expect = []
+            for i, (c, r, _) in enumerate(base + inserts):
+                reach = r + s.tol_geom
+                if all(x - reach <= h and x + reach >= w
+                       for x, w, h in zip(c, lo, hi)):
+                    expect.append(i)
+            got = grid.query_bbox(lo, hi)
+            assert len(grid) == len(base) + len(inserts)
+            assert got.tolist() == expect
+
+        check()
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_split_coverage_matches_plain_coverage(self, dim):
+        # enough points that points x balls exceeds the pair budget, so the
+        # point set is split before the exact test
+        @settings(PROPERTY, max_examples=15)
+        @given(base=balls(dim, 10, 30), seed=st.integers(0, 2 ** 32 - 1))
+        def check(base, seed):
+            s = ball_set(dim, base)
+            rng = np.random.default_rng(seed)
+            m = 3 * _PAIR_BUDGET // len(s)
+            # half uniform, half on the surface of their first host
+            qs = rng.uniform(-1.2, 1.2, (m, dim))
+            hosts = rng.integers(-1, len(s), (m, 3))
+            on = np.arange(m // 2)
+            hosts[on, 0] = rng.integers(0, len(s), on.size)
+            u = rng.normal(size=(on.size, dim))
+            qs[on] = (s.points[hosts[on, 0]] + s.radii[hosts[on, 0], None]
+                      * u / np.linalg.norm(u, axis=1)[:, None])
+            assert m * len(s) > _PAIR_BUDGET
+            np.testing.assert_array_equal(
+                grid_points_uncovered(qs, s, build_ball_grid(s), hosts=hosts),
+                points_uncovered(qs, s, hosts=hosts))
+
+        check()
+
+    def test_large_ball_after_small_base(self):
+        # a ball much larger than the base: the index must not grow with the
+        # ratio of the radii (a grid with cells sized from the base would
+        # give this ball about a million cells)
+        s = make_set([((0, 0, 0), 0.1)])
+        cache = build_cache(s)
+        row = s.append(np.array([0.3, 0.0, 0.0]), 0.4)
+        tracemalloc.start()
+        try:
+            update_cache_on_insert(cache, s, row)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(cache.grid) == 2
+        assert peak < 2 ** 21
+        rebuilt = build_cache(s)
+        assert cache_point_set(cache) == cache_point_set(rebuilt)
+        assert ({k: v[1] for k, v in cache.circles.items()}
+                == {k: v[1] for k, v in rebuilt.circles.items()})
+
+
 class TestProperties:
     @pytest.mark.parametrize("dim,examples", [(2, 100), (3, 20)])
     def test_incremental_cache_equals_rebuild(self, dim, examples):
         @settings(PROPERTY, max_examples=examples)
         @given(base=balls(dim, 1, 5), inserts=balls(dim, 1, 4))
         def check(base, inserts):
-            s = SampleSet([c for c, _, _ in base],
-                          [r * sg for _, r, sg in base])
+            s = ball_set(dim, base)
             cache = build_cache(s)
             for c, r, sg in inserts:
                 update_cache_on_insert(cache, s, s.append(c, r * sg))
@@ -211,8 +298,7 @@ class TestNominations:
         @example(base=[])                                   # no marks at all
         @example(base=[([0.1] * dim, 0.4, 1.0)])            # one sphere
         def check(base):
-            s = SampleSet(np.reshape([c for c, _, _ in base], (-1, dim)),
-                          [r * sg for _, r, sg in base])
+            s = ball_set(dim, base)
             n = len(s)
             pix, sph, _ = _raster_marks(s, res)
             pairs, triples = _raster_nominations(pix, sph, n, dim)
