@@ -640,6 +640,22 @@ def build_cache(sample_set: SampleSet, raster_res=None, grid=None,
     return cache
 
 
+# largest set nominated exhaustively by ensure_cache.  On exact sphere
+# samples in 3D, exhaustive nomination takes 6.3 ms against 8.4 ms for the
+# raster at 12 samples and 13 against 8.5 ms at 20; in 2D it wins up to
+# about 100 samples.
+_EXHAUSTIVE_MAX = 12
+
+
+def ensure_cache(sample_set: SampleSet, cache=None) -> IntersectionCache:
+    """``cache`` if given, else a fresh cache of the set; sets of at most
+    _EXHAUSTIVE_MAX samples are nominated exhaustively."""
+    if cache is not None:
+        return cache
+    return build_cache(sample_set,
+                       exhaustive=len(sample_set) <= _EXHAUSTIVE_MAX)
+
+
 def update_cache_on_insert(cache: IntersectionCache, sample_set: SampleSet,
                            new) -> IntersectionCache:
     """Bring the cache up to date after ``sample_set`` gained one sample.

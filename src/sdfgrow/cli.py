@@ -101,7 +101,8 @@ def cmd_validate(args):
 
 def cmd_interpolate(args):
     _, samples = _read_samples(args.input, args.tol_unique, args.tol_geom)
-    report = check_validity(samples)
+    cache = build_cache(samples, raster_res=args.raster_res)
+    report = check_validity(samples, cache=cache)
     if not report.valid:
         _log("input is not a valid discrete SDF:")
         _log(report)
@@ -110,7 +111,6 @@ def cmd_interpolate(args):
     if pts.shape[1] != samples.dim:
         raise ParseError(f"{args.points}: query points must be "
                          f"{samples.dim}-dimensional")
-    cache = build_cache(samples, raster_res=args.raster_res)
     out = sys.stdout if args.output is None else open(args.output, "w")
     try:
         for p in pts:

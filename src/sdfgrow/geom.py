@@ -1,5 +1,6 @@
 """Low-level sphere geometry: pair/triple intersections, intersection
-circles, coverage tests and exact uncovered-point decisions.
+circles, coverage tests and the exact per-sphere uncovered-point decision,
+which reads the intersection cache of ``accel``.
 
 All predicates are tolerance-inclusive: a point sitting on a sphere boundary
 (within ``tol_geom``) counts as *not* strictly inside the corresponding ball.
@@ -405,100 +406,26 @@ def pair_points_2d_batch(c1, r1, c2, r2, tol_unique=TOL_UNIQUE,
 # per-sphere uncovered decision
 # ---------------------------------------------------------------------------
 
-def _pair_points_on_sphere_2d(i, sample_set, neighbor_idx):
-    """Crossing and tangency points of circle i with each neighbor circle,
-    with their host rows (i, neighbor)."""
-    neighbor_idx = np.asarray(neighbor_idx, dtype=np.intp)
-    pts, rows = pair_points_2d_batch(
-        np.broadcast_to(sample_set.points[i], (neighbor_idx.size, 2)),
-        np.full(neighbor_idx.size, sample_set.radii[i]),
-        sample_set.points[neighbor_idx],
-        sample_set.radii[neighbor_idx],
-        sample_set.tol_unique, sample_set.tol_geom)
-    return pts, np.column_stack([np.full(rows.size, i), neighbor_idx[rows]])
-
-
-def _sphere_candidate_points_3d(i, sample_set, neighbor_idx):
-    """Candidate uncovered points on sphere i, with their host rows (i, j,
-    k or -1): for each neighbor j, the pair contact or the circle's triple
-    points (and probe, if uncut)."""
-    neighbor_idx = np.asarray(neighbor_idx, dtype=np.intp)
-    ci = sample_set.points[i]
-    ri = sample_set.radii[i]
-    pts, hosts = [np.empty((0, 3))], [np.empty((0, 3), dtype=np.intp)]
-    for j in neighbor_idx:
-        got, ks = pair_candidate_points_3d(ci, ri, sample_set.points[j],
-                                           sample_set.radii[j],
-                                           neighbor_idx[neighbor_idx != j],
-                                           sample_set)
-        pts.append(got)
-        hosts.append(np.column_stack([np.full(ks.size, i),
-                                      np.full(ks.size, j), ks]))
-    return np.vstack(pts), np.vstack(hosts)
-
-
-def sphere_neighbors(i, sample_set, indices=None):
-    """Indices of spheres whose closed ball can reach sphere i's surface."""
-    if indices is None:
-        pts = sample_set.points
-        radii = sample_set.radii
-        base = np.arange(len(sample_set))
-    else:
-        base = np.asarray(indices, dtype=np.intp)
-        pts = sample_set.points[base]
-        radii = sample_set.radii[base]
-    d = np.linalg.norm(pts - sample_set.points[i], axis=1)
-    near = d <= sample_set.radii[i] + radii + sample_set.tol_geom
-    out = base[near]
-    return out[out != i]
-
-
-def sphere_uncovered_candidates(i, sample_set: SampleSet, indices=None):
-    """Finite candidate set that decides whether sphere i has an uncovered
-    point: every crossing/tangency point of its surface with neighboring
-    spheres (and, in 3D, circle probes), or the canonical probe when the
-    surface meets nothing.
-
-    Returns (points array, host rows, neighbor indices, had_intersections
-    flag).  Each host row lists the spheres a point lies on, padded with -1;
-    a point is never covered by its hosts.  Any ball able to cover a point
-    of sphere i's surface is one of the returned neighbors, so coverage
-    tests may be restricted to them.
-    """
-    neighbors = sphere_neighbors(i, sample_set, indices)
-    if sample_set.dim == 2:
-        pts, hosts = _pair_points_on_sphere_2d(i, sample_set, neighbors)
-    else:
-        pts, hosts = _sphere_candidate_points_3d(i, sample_set, neighbors)
-    if pts.shape[0]:
-        return pts, hosts, neighbors, True
-    return (probe_point(sample_set.points[i], sample_set.radii[i])[None, :],
-            np.array([[i]]), neighbors, False)
-
-
-def sphere_has_uncovered_point(i, sample_set: SampleSet, cache=None,
-                               indices=None):
+def sphere_has_uncovered_point(i, sample_set: SampleSet, cache=None):
     """Exact decision of validity condition (ii) for sphere i.
 
     A sphere surface is partitioned by its crossings with other spheres into
     arcs (2D) or patches bounded by circle arcs (3D) of constant coverage;
     the closure of any uncovered piece contains a crossing point, so testing
     crossings (plus probes for crossing-free surfaces/circles) is exact.
+    The intersection cache holds exactly those crossings; one is built when
+    ``cache`` is None.
     """
-    if cache is not None:
-        if cache.sphere_point_rows(i):
-            return True
-        if cache.sphere_has_open_circle(i):
-            # an (at least partially) uncovered intersection circle lives on
-            # this sphere's surface
-            return True
-        if cache.sphere_intersects_something(i, sample_set):
-            # all of its crossing points are covered
-            return False
-        return point_uncovered(
-            probe_point(sample_set.points[i], sample_set.radii[i]),
-            sample_set, indices=indices)
-    pts, hosts, neighbors, _ = sphere_uncovered_candidates(i, sample_set,
-                                                           indices)
-    flags = points_uncovered(pts, sample_set, indices=neighbors, hosts=hosts)
-    return bool(np.any(flags))
+    from .accel import ensure_cache
+    cache = ensure_cache(sample_set, cache)
+    if cache.sphere_point_rows(i):
+        return True
+    if cache.sphere_has_open_circle(i):
+        # an (at least partially) uncovered intersection circle lives on
+        # this sphere's surface
+        return True
+    if cache.sphere_intersects_something(i, sample_set):
+        # all of its crossing points are covered
+        return False
+    return point_uncovered(
+        probe_point(sample_set.points[i], sample_set.radii[i]), sample_set)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accel import IntersectionCache, build_cache, grid_points_uncovered
+from .accel import IntersectionCache, ensure_cache, grid_points_uncovered
 from .core import InputInvalidError, SampleSet, default_max_radius
 from .geom import (
     pair_candidate_points_3d,
@@ -25,7 +25,6 @@ from .geom import (
     point_to_circle_distances,
     points_uncovered,
     probe_point,
-    sphere_uncovered_candidates,
 )
 
 MODE_REFINE = "refine"    # only fully uncovered circles feed candidates
@@ -49,12 +48,6 @@ def _scope(sample_set, indices):
     return np.asarray(indices, dtype=np.intp)
 
 
-def _ensure_cache(sample_set, cache):
-    if cache is None:
-        return build_cache(sample_set, exhaustive=True)
-    return cache
-
-
 def grow_to_points(p, sample_set: SampleSet, cache: IntersectionCache = None,
                    mode=MODE_REFINE, indices=None, max_dist=None):
     """All candidate grow-to points for a query position.
@@ -65,7 +58,7 @@ def grow_to_points(p, sample_set: SampleSet, cache: IntersectionCache = None,
     never lie on a surface realizing the samples.
     """
     p = np.asarray(p, dtype=np.float64)
-    cache = _ensure_cache(sample_set, cache)
+    cache = ensure_cache(sample_set, cache)
     scope = _scope(sample_set, indices)
     tol = sample_set.tol_geom
     out = [GrowToCandidate(p.copy(), "self", ())]
@@ -178,11 +171,9 @@ def score_for_radius(p, s, host, candidate: GrowToCandidate, max_radius):
 # incremental validity of (set + one candidate sphere)
 # ---------------------------------------------------------------------------
 
-def _uncovered_with_extra(qpts, sample_set, scope, center, radius,
-                          hosts=None):
-    """Coverage test against the scoped set plus one extra ball; ``hosts``
-    as in points_uncovered."""
-    flags = points_uncovered(qpts, sample_set, indices=scope, hosts=hosts)
+def _uncovered_with_extra(qpts, sample_set, scope, center, radius):
+    """Coverage test against the scoped set plus one extra ball."""
+    flags = points_uncovered(qpts, sample_set, indices=scope)
     d = np.linalg.norm(np.atleast_2d(qpts) - np.asarray(center)[None, :],
                        axis=1)
     return flags & ~(d < radius - sample_set.tol_geom)
@@ -191,28 +182,21 @@ def _uncovered_with_extra(qpts, sample_set, scope, center, radius,
 def _existing_sphere_survives(j, sample_set, p, mag, cache, scope):
     """Does sphere j keep an uncovered point after adding ball (p, mag)?"""
     tol = sample_set.tol_geom
-    if cache is not None:
-        jpts = cache.sphere_points(j)
-        if jpts.shape[0]:
-            d = np.linalg.norm(jpts - p[None, :], axis=1)
-            if np.any(d >= mag - tol):
-                return True
-        if sample_set.dim == 3:
-            # a fully uncovered circle has no cached points; it keeps sphere j
-            # valid unless the new ball swallows it whole (a partial cut
-            # leaves uncovered arcs behind)
-            for circle in cache.sphere_full_circles(j):
-                _, dmax = point_to_circle_distances(p[None, :], circle)
-                if dmax[0] >= mag - tol:
-                    return True
-        had_candidates = bool(jpts.shape[0]) or \
-            cache.sphere_intersects_something(j, sample_set)
-    else:
-        jpts, jhosts, neigh, had_candidates = sphere_uncovered_candidates(
-            j, sample_set, scope)
-        flags = _uncovered_with_extra(jpts, sample_set, neigh, p, mag, jhosts)
-        if np.any(flags):
+    jpts = cache.sphere_points(j)
+    if jpts.shape[0]:
+        d = np.linalg.norm(jpts - p[None, :], axis=1)
+        if np.any(d >= mag - tol):
             return True
+    if sample_set.dim == 3:
+        # a fully uncovered circle has no cached points; it keeps sphere j
+        # valid unless the new ball swallows it whole (a partial cut leaves
+        # uncovered arcs behind)
+        for circle in cache.sphere_full_circles(j):
+            _, dmax = point_to_circle_distances(p[None, :], circle)
+            if dmax[0] >= mag - tol:
+                return True
+    had_candidates = bool(jpts.shape[0]) or \
+        cache.sphere_intersects_something(j, sample_set)
     # every surviving uncovered point, if any, borders the new ball
     cj = sample_set.points[j]
     rj = sample_set.radii[j]
@@ -248,7 +232,8 @@ def validity_with_candidate(sample_set: SampleSet, p, s,
     Decided incrementally: opposite-sign overlap against the new ball,
     survival of an uncovered point for every existing sphere the new ball
     reaches, and an uncovered point for the new sphere itself (free when the
-    grow-to point that produced s is known to be uncovered).
+    grow-to point that produced s is known to be uncovered).  The survival
+    test reads ``cache``, the set's intersection cache, built when needed.
     """
     p = np.asarray(p, dtype=np.float64)
     s = float(s)
@@ -265,8 +250,10 @@ def validity_with_candidate(sample_set: SampleSet, p, s,
     if np.any(d[opp] < mag + radii[opp] - tol):
         return False
 
-    affected = np.abs(d - radii) < mag - tol
-    for row in np.nonzero(affected)[0]:
+    affected = np.nonzero(np.abs(d - radii) < mag - tol)[0]
+    if affected.size:
+        cache = ensure_cache(sample_set, cache)
+    for row in affected:
         if not _existing_sphere_survives(int(scope[row]), sample_set, p, mag,
                                          cache, scope):
             return False
@@ -348,7 +335,8 @@ def interpolate_sdf_to(p, sample_set: SampleSet, max_radius=None,
     p = np.asarray(p, dtype=np.float64)
     if not assume_valid:
         from .validity import check_validity
-        report = check_validity(sample_set)
+        cache = ensure_cache(sample_set, cache)
+        report = check_validity(sample_set, cache=cache)
         if not report.valid:
             raise InputInvalidError("input set is not a valid discrete SDF",
                                     report)
@@ -359,7 +347,7 @@ def interpolate_sdf_to(p, sample_set: SampleSet, max_radius=None,
         return float(sample_set.values[ci])
     scope = _scope(sample_set, indices)
     tol = sample_set.tol_geom
-    cache = _ensure_cache(sample_set, cache)
+    cache = ensure_cache(sample_set, cache)
 
     required_sign, lower, ub_all, ub_by_sign = _containment(sample_set, p,
                                                             scope)
@@ -418,7 +406,8 @@ def min_valid_radius(p, sample_set: SampleSet, lower_bound=0.0, sign=None,
     p = np.asarray(p, dtype=np.float64)
     if not assume_valid:
         from .validity import check_validity
-        report = check_validity(sample_set)
+        cache = ensure_cache(sample_set, cache)
+        report = check_validity(sample_set, cache=cache)
         if not report.valid:
             raise InputInvalidError("input set is not a valid discrete SDF",
                                     report)
@@ -448,7 +437,7 @@ def min_valid_radius(p, sample_set: SampleSet, lower_bound=0.0, sign=None,
         depth = radii[inside] - d[inside]
         sign = float(signs[inside][np.argmax(depth)])
     floor = max(float(lower_bound), 0.0)
-    cache = _ensure_cache(sample_set, cache)
+    cache = ensure_cache(sample_set, cache)
     rmin = np.inf
 
     # uncovered intersection points on same-sign spheres

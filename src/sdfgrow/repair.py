@@ -47,8 +47,6 @@ def find_fully_covered(sample_set: SampleSet, cache=None):
     if dups:
         raise NotRepairableError(
             f"contradictory duplicate samples: {dups[0]}", offending=dups)
-    if cache is None:
-        cache = build_cache(sample_set)
     return find_fully_covered_spheres(sample_set, cache=cache)
 
 

@@ -3,7 +3,9 @@
 A set is valid iff (i) no differently signed spheres overlap (touching at a
 single point is allowed) and (ii) every sphere keeps at least one point that
 is not strictly inside any other sample's ball.  Both conditions are decided
-exactly; a dense surface-sampling oracle is provided for testing.
+exactly: (i) by pairwise distances, (ii) from the set's intersection cache
+(``accel``), the one representation of uncovered crossings.  A dense
+surface-sampling oracle is provided for testing.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .accel import ensure_cache
 from .core import SampleSet
 from .geom import points_uncovered, sphere_has_uncovered_point
 
@@ -82,18 +85,17 @@ def _contradictory_duplicates(sample_set):
 
 def find_fully_covered_spheres(sample_set, cache=None):
     """Indices of all spheres with no uncovered surface point (exhaustive,
-    not first-found)."""
+    not first-found).  ``cache`` is the set's intersection cache; one is
+    built when it is None."""
+    cache = ensure_cache(sample_set, cache)
     return [i for i in range(len(sample_set))
             if not sphere_has_uncovered_point(i, sample_set, cache=cache)]
 
 
 def check_validity(sample_set: SampleSet, cache=None) -> ValidityReport:
-    """Full validity decision with an exhaustive violation list."""
-    if cache is None and len(sample_set) >= 128:
-        # per-sphere neighbor enumeration degenerates on dense grid sets; the
-        # prefiltered intersection cache answers condition (ii) directly
-        from .accel import build_cache
-        cache = build_cache(sample_set)
+    """Full validity decision with an exhaustive violation list.  Condition
+    (ii) is read from ``cache``, the set's intersection cache, which is
+    built when it is None."""
     violations = []
     for pair in _contradictory_duplicates(sample_set):
         violations.append(Violation("contradictory-duplicate", pair))

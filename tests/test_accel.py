@@ -6,6 +6,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from sdfgrow.accel import (
+    _EXHAUSTIVE_MAX,
     _PAIR_BUDGET,
     _check_key_range,
     _raster_marks,
@@ -19,8 +20,8 @@ from sdfgrow.accel import (
 )
 from sdfgrow.core import SampleSet, SdfError
 from sdfgrow.fields import circle_sdf, sample_grid
-from sdfgrow.geom import points_uncovered, sphere_has_uncovered_point
-from sdfgrow.validity import sphere_coverage_margin
+from sdfgrow.geom import points_uncovered
+from sdfgrow.validity import find_fully_covered_spheres, sphere_coverage_margin
 
 from conftest import (
     exhaustive_uncovered_pairs_2d,
@@ -158,6 +159,15 @@ def balls(dim, min_size, max_size):
         min_size=min_size, max_size=max_size)
 
 
+def ring_with_nested(dim, n):
+    """n - 1 overlapping balls on a ring plus one nested in the first, which
+    is fully covered."""
+    t = 2.0 * np.pi * np.arange(n - 1) / (n - 1)
+    ring = [([0.5 * np.cos(a), 0.5 * np.sin(a)] + [0.0] * (dim - 2), 0.3, 1.0)
+            for a in t]
+    return ring + [(ring[0][0], 0.1, 1.0)]
+
+
 def ball_set(dim, balls):
     return SampleSet(np.reshape([c for c, _, _ in balls], (-1, dim)),
                      [r * sg for _, r, sg in balls])
@@ -265,9 +275,10 @@ class TestProperties:
 
     @pytest.mark.parametrize("dim,res,examples", [(2, (8, 20), 30),
                                                   (3, (3, 5), 8)])
-    def test_cache_agrees_with_cache_free_decision(self, dim, res, examples):
+    def test_cache_covered_spheres_are_borderline(self, dim, res, examples):
         # exact SDF samples of one ball: a valid set whose spheres meet
-        # almost tangentially, where roundoff matters most
+        # almost tangentially, where roundoff matters most; a sphere the
+        # cache calls fully covered may only be a borderline one
         @settings(PROPERTY, max_examples=examples)
         @given(center=st.lists(st.floats(-0.2, 0.2), min_size=dim,
                                max_size=dim),
@@ -277,12 +288,24 @@ class TestProperties:
             grid = sample_grid(lambda p: circle_sdf(p, center, radius), dim,
                                n, lo, -lo)
             s = grid.to_sample_set()
-            cache = build_cache(s)
-            for i in range(len(s)):
-                cached = sphere_has_uncovered_point(i, s, cache=cache)
-                if cached != sphere_has_uncovered_point(i, s):
-                    # only a borderline sphere may be decided either way
-                    assert abs(sphere_coverage_margin(i, s, 1024)) <= 1e-5
+            for i in find_fully_covered_spheres(s, cache=build_cache(s)):
+                assert abs(sphere_coverage_margin(i, s, 1024)) <= 1e-5
+
+        check()
+
+    @pytest.mark.parametrize("dim,examples", [(2, 40), (3, 15)])
+    def test_cutoff_keeps_verdicts(self, dim, examples):
+        # ensure_cache nominates exhaustively up to _EXHAUSTIVE_MAX samples
+        # and by raster above; the two nominations must give one verdict
+        @settings(PROPERTY, max_examples=examples)
+        @given(base=st.integers(1, 20).flatmap(lambda n: balls(dim, n, n)))
+        @example(base=ring_with_nested(dim, _EXHAUSTIVE_MAX))
+        @example(base=ring_with_nested(dim, _EXHAUSTIVE_MAX + 1))
+        def check(base):
+            s = ball_set(dim, base)
+            exhaustive = build_cache(s, exhaustive=True)
+            assert (find_fully_covered_spheres(s, cache=exhaustive)
+                    == find_fully_covered_spheres(s, cache=build_cache(s)))
 
         check()
 

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import sdfgrow.accel
+import sdfgrow.cli
 from sdfgrow.cli import main
 from sdfgrow.fields import circle_sdf, sample_grid, two_circle_union_grid
 from sdfgrow.gridio import read_grid, read_obj, read_scattered, write_grid
@@ -61,6 +63,23 @@ class TestInterpolate:
         pts = tmp_path / "pts.csv"
         pts.write_text("0.5,0\n")
         assert main(["interpolate", str(sdf), "--points", str(pts)]) == 1
+
+    def test_one_cache_build(self, circle_grid_file, tmp_path, monkeypatch):
+        # the validity check and the queries share one cache
+        calls = []
+        original = sdfgrow.accel.build_cache
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sdfgrow.accel, "build_cache", counting)
+        monkeypatch.setattr(sdfgrow.cli, "build_cache", counting)
+        pts = tmp_path / "pts.csv"
+        pts.write_text("0.05,0.55\n-0.7,0\n")
+        assert main(["interpolate", str(circle_grid_file), "--points",
+                     str(pts)]) == 0
+        assert len(calls) == 1
 
 
 class TestRefine:

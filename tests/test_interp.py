@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sdfgrow.accel import IntersectionCache
 from sdfgrow.core import InputInvalidError, SampleSet, SignedSample
 from sdfgrow.interp import (
     MODE_REFINE,
@@ -12,6 +13,7 @@ from sdfgrow.interp import (
     score_for_radius,
     validity_with_candidate,
 )
+from sdfgrow.fields import circle_sdf, sample_grid
 from sdfgrow.validity import check_validity
 
 from conftest import make_set, random_valid_set, sampled_sdf_set
@@ -140,6 +142,22 @@ class TestValidityWithCandidate:
 
 
 class TestInterpolate:
+    @pytest.mark.parametrize("query", [interpolate_sdf_to, min_valid_radius])
+    def test_input_check_shares_the_cache(self, query, monkeypatch):
+        # counted at the class, whatever module binds build_cache
+        calls = []
+        original = IntersectionCache.__init__
+
+        def counting(self, *args):
+            calls.append(1)
+            original(self, *args)
+
+        monkeypatch.setattr(IntersectionCache, "__init__", counting)
+        s = sample_grid(lambda p: circle_sdf(p, radius=0.6), 2, 15, -1,
+                        1).to_sample_set()
+        query(np.array([0.05, 0.3]), s)
+        assert len(calls) == 1
+
     def test_golden_case(self):
         s = make_set([((0, 0), 1.0)])
         v = interpolate_sdf_to(np.array([0.5, 0.0]), s,

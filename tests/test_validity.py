@@ -56,7 +56,7 @@ class TestExactSdfNearTangency:
     @pytest.mark.parametrize("dim,center,radius,res,lo", [
         (2, (-0.08591588, -0.07404521), 0.9844985359875325, 15, -1.4),
         (3, (0.03, -0.02, 0.01), 0.7, 6, -1.0),
-        # under 128 samples: the cache-free path
+        # 121 samples, which the removed cache-free check used to decide
         (2, (0.07937053797883742, -0.0832085536048596), 0.9355695748967945,
          11, -1.289850249220769),
     ])
