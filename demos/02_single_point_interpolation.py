@@ -12,7 +12,8 @@ minimum-magnitude candidate needs no validity checks at all.
 import numpy as np
 
 from sdfgrow import SampleSet, check_validity, grow_to_points, \
-    interpolate_sdf_to, min_valid_radius, score_for_radius
+    interpolate_sdf_to, min_valid_radius, radius_scores
+from sdfgrow.interp import KIND_NAMES
 
 s = SampleSet([[0.0, 0.0], [1.2, 0.0]], [1.0, 1.0])
 p = np.array([0.6, 0.0])
@@ -21,12 +22,14 @@ print("two unit circles at (0,0) and (1.2,0); query point", p)
 print()
 print("grow-to candidates (covered ones already filtered):")
 max_radius = 2 * np.sqrt(2)
-for cand in grow_to_points(p, s):
-    dist = np.linalg.norm(cand.point - p)
-    scores = {sgn: score_for_radius(p, sgn * dist, None, cand, max_radius)
-              for sgn in (+1, -1)}
-    print(f"  {cand.kind:<14} q={np.round(cand.point, 6)}  |s|={dist:.6f}"
-          f"  score(+)={scores[1]:.3f}  score(-)={scores[-1]:.3f}")
+cands = grow_to_points(p, s)
+dist = np.linalg.norm(cands.points - p, axis=1)
+scores = {sgn: radius_scores(p, sgn * dist, cands, s, max_radius)
+          for sgn in (+1, -1)}
+for k in range(len(cands)):
+    print(f"  {KIND_NAMES[cands.kind[k]]:<14} q={np.round(cands.points[k], 6)}"
+          f"  |s|={dist[k]:.6f}  score(+)={scores[1][k]:.3f}"
+          f"  score(-)={scores[-1][k]:.3f}")
 
 best = interpolate_sdf_to(p, s, max_radius=max_radius)
 smallest = min_valid_radius(p, s)

@@ -6,7 +6,6 @@ from .core import (
     DOMAIN_LO,
     TOL_GEOM,
     TOL_UNIQUE,
-    AxisDegenerateError,
     DegenerateGeometryError,
     InputInvalidError,
     NotRepairableError,
@@ -21,7 +20,6 @@ from .core import (
 )
 from .geom import (
     IntersectionCircle,
-    circle_extreme_points,
     circle_pair_intersect_2d,
     point_uncovered,
     points_uncovered,
@@ -43,11 +41,11 @@ from .accel import (
     update_cache_on_insert,
 )
 from .interp import (
-    GrowToCandidate,
+    GrowToPoints,
     grow_to_points,
     interpolate_sdf_to,
     min_valid_radius,
-    score_for_radius,
+    radius_scores,
     validity_with_candidate,
 )
 

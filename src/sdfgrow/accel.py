@@ -259,9 +259,9 @@ class IntersectionCache:
                                   tol=1e-6, include_degenerate=True):
         """Closest/farthest circle points for every open circle, vectorized.
 
-        Returns (points (m, 3), distances (m,), host pairs).  Axis-degenerate
-        circles (p on the axis, all points equidistant) contribute their
-        deterministic reference point, or nothing when
+        Returns (points (m, 3), distances (m,), host pairs (m, 2)).
+        Axis-degenerate circles (p on the axis, all points equidistant)
+        contribute their deterministic reference point, or nothing when
         ``include_degenerate=False``.  ``sign`` keeps only circles with a
         host sphere of that sign.
         """
@@ -272,35 +272,24 @@ class IntersectionCache:
         if sign is not None:
             mask &= c.has_pos if sign > 0 else c.has_neg
         rows = np.nonzero(mask)[0]
-        if rows.size == 0:
-            return (np.empty((0, 3)), np.empty((0,)), [])
         centers = c.center[rows]
         u, nu, along, rho = self._circle_frame(p, rows)
         ok = nu > tol
-        pts = []
-        dists = []
-        hosts = []
-        if np.any(ok):
-            w = np.nonzero(ok)[0]
-            dirs = u[w] / nu[w][:, None]
-            near = centers[w] + rho[w][:, None] * dirs
-            far = centers[w] - rho[w][:, None] * dirs
-            d_near = np.sqrt((nu[w] - rho[w]) ** 2 + along[w] ** 2)
-            d_far = np.sqrt((nu[w] + rho[w]) ** 2 + along[w] ** 2)
-            pts.extend((near, far))
-            dists.extend((d_near, d_far))
-            hh = [tuple(h) for h in c.hosts[rows[w]].tolist()]
-            hosts.extend(hh)
-            hosts.extend(hh)
+        w = np.nonzero(ok)[0]
+        dirs = u[w] / nu[w][:, None]
+        pts = [centers[w] + rho[w][:, None] * dirs,
+               centers[w] - rho[w][:, None] * dirs]
+        dists = [np.sqrt((nu[w] - rho[w]) ** 2 + along[w] ** 2),
+                 np.sqrt((nu[w] + rho[w]) ** 2 + along[w] ** 2)]
+        hosts = [c.hosts[rows[w]]] * 2
         if include_degenerate:
-            for r in rows[~ok]:
-                q = circle_reference_point(self.circle(r))
-                pts.append(q[None, :])
-                dists.append(np.array([np.linalg.norm(q - p)]))
-                hosts.append(tuple(c.hosts[r].tolist()))
-        if not pts:
-            return (np.empty((0, 3)), np.empty((0,)), [])
-        return np.vstack(pts), np.concatenate(dists), hosts
+            degenerate = rows[~ok]
+            refs = [circle_reference_point(self.circle(r))
+                    for r in degenerate]
+            pts.append(np.reshape(refs, (-1, 3)))
+            dists.append(np.array([np.linalg.norm(q - p) for q in refs]))
+            hosts.append(c.hosts[degenerate])
+        return np.vstack(pts), np.concatenate(dists), np.vstack(hosts)
 
     # -- queries -----------------------------------------------------------
 
@@ -322,13 +311,13 @@ class IntersectionCache:
                 for r in self.alive_rows()]
 
     def points_array(self, sign=None):
-        """(rows, points) of alive cached points; with ``sign`` restricted to
-        points lying on at least one sphere of that sign."""
+        """(hosts (m, 3), points) of alive cached points; with ``sign``
+        restricted to points lying on at least one sphere of that sign."""
         mask = self._pt.alive.copy()
         if sign is not None:
             mask &= self._pt.has_pos if sign > 0 else self._pt.has_neg
         rows = np.nonzero(mask)[0]
-        return rows, self._pt.xyz[rows]
+        return self._pt.hosts[rows], self._pt.xyz[rows]
 
     def sphere_point_rows(self, i):
         return list(self._pts_of.get(int(i), ()))
@@ -364,7 +353,7 @@ class IntersectionCache:
     def nearest_point_distance(self, p, sign, floor=-np.inf):
         """Distance from p to the nearest alive cached point on a sphere of
         the given sign, ignoring candidates closer than ``floor``."""
-        rows, pts = self.points_array(sign)
+        _, pts = self.points_array(sign)
         if pts.shape[0] == 0:
             return np.inf
         d = np.linalg.norm(pts - np.asarray(p)[None, :], axis=1)

@@ -29,10 +29,6 @@ class DegenerateGeometryError(SdfError):
     """A geometric construction has no well-defined answer."""
 
 
-class AxisDegenerateError(DegenerateGeometryError):
-    """Query point sits on a circle's axis; all circle points are equidistant."""
-
-
 class InputInvalidError(SdfError):
     """An operation that requires a valid sample set received an invalid one."""
 

@@ -36,7 +36,6 @@ class DosCell:
     interesting: bool
     relevant: np.ndarray = field(default_factory=lambda: np.empty(0, np.intp))
     covered_ratio: float = None
-    fallback_used: bool = False
 
     def max_child_radius(self):
         """Radius cap for a sphere grown at a child center: it may not bury
@@ -58,10 +57,6 @@ class Dos:
     new_samples: list = field(default_factory=list)   # (point, value) in order
     new_rows: list = field(default_factory=list)
     refined_depth: int = 0
-
-    @property
-    def retained_rows(self):
-        return np.arange(self.n_input_retained)
 
 
 def _interesting(value, diag):
@@ -243,13 +238,10 @@ def _subdivide(dos: Dos, cell: DosCell, next_level, on_assign=None):
         cand = dos.cache.grid.query_bbox(child.center - max_r,
                                          child.center + max_r)
         child.relevant = _cell_relevant(child.center, max_r, working, cand)
-        def note_fallback(cell=child):
-            cell.fallback_used = True
         value = interpolate_sdf_to(child.center, working,
                                    max_radius=max_r, cache=dos.cache,
                                    mode=MODE_REFINE, indices=child.relevant,
-                                   assume_valid=True,
-                                   on_fallback=note_fallback)
+                                   assume_valid=True)
         row = working.append(child.center, value)
         update_cache_on_insert(dos.cache, working, row)
         child.value = float(value)
@@ -262,8 +254,3 @@ def _subdivide(dos: Dos, cell: DosCell, next_level, on_assign=None):
         next_level[child.index] = child
         if on_assign is not None:
             on_assign(child)
-
-
-def refined_sample_set(dos: Dos) -> SampleSet:
-    """Retained input plus all new samples (the working set itself)."""
-    return dos.working

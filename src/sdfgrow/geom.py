@@ -15,7 +15,6 @@ import numpy as np
 from .core import (
     TOL_GEOM,
     TOL_UNIQUE,
-    AxisDegenerateError,
     DegenerateGeometryError,
     SampleSet,
 )
@@ -225,25 +224,6 @@ def triple_points_batch(c1, r1, c2, r2, c3s, r3s, tol_geom=TOL_GEOM):
     return np.vstack(pts), np.concatenate(rows)
 
 
-def circle_extreme_points(p, circle: IntersectionCircle, tol_geom=TOL_GEOM):
-    """(closest, farthest) points of a circle as seen from p.
-
-    Raises AxisDegenerateError when p lies on the circle's axis, in which
-    case all circle points are equidistant and the caller should substitute
-    ``circle_reference_point``.
-    """
-    p = np.asarray(p, dtype=np.float64)
-    v = p - circle.center
-    w = np.dot(v, circle.normal) * circle.normal
-    u = v - w
-    nu = float(np.linalg.norm(u))
-    if nu <= tol_geom:
-        raise AxisDegenerateError("query point on circle axis")
-    u = u / nu
-    return (circle.center + circle.radius * u,
-            circle.center - circle.radius * u)
-
-
 def circle_reference_point(circle: IntersectionCircle):
     """A deterministic point on the circle, used when the closest/farthest
     direction is degenerate.  Picks the lexicographically smaller of the two
@@ -333,7 +313,7 @@ def points_uncovered(points, sample_set: SampleSet, exclude=None,
         else np.asarray(indices, dtype=np.intp)
     if exclude is not None and len(exclude) > 0:
         idx = idx[~np.isin(idx, np.asarray(list(exclude), dtype=np.intp))]
-    if idx.size == 0:
+    if idx.size == 0 or points.shape[0] == 0:
         return np.ones(points.shape[0], dtype=bool)
     d = np.linalg.norm(points[:, None, :] - sample_set.points[idx][None, :, :],
                        axis=2)

@@ -31,15 +31,26 @@ MODE_REFINE = "refine"    # only fully uncovered circles feed candidates
 MODE_REPAIR = "repair"    # all partially uncovered circles are considered
 
 
-@dataclass
-class GrowToCandidate:
-    point: np.ndarray
-    kind: str                      # self | tangent | intersection | circle-extreme
-    hosts: tuple                   # ((index, SignedSample), ...)
+# grow-to point kinds, as stored in ``GrowToPoints.kind``
+SELF, TANGENT, INTERSECTION, CIRCLE_EXTREME = range(4)
+KIND_NAMES = ("self", "tangent", "intersection", "circle-extreme")
 
-    @property
-    def is_tangency(self):
-        return self.kind == "tangent"
+
+@dataclass
+class GrowToPoints:
+    """Grow-to points as arrays: ``points`` (m, d), ``kind`` (m,) int8 codes
+    indexing ``KIND_NAMES`` and ``hosts`` (m, 3) sample rows of the spheres
+    each point lies on, padded with -1."""
+    points: np.ndarray
+    kind: np.ndarray
+    hosts: np.ndarray
+
+    def __len__(self):
+        return self.kind.shape[0]
+
+    def take(self, rows):
+        return GrowToPoints(self.points[rows], self.kind[rows],
+                            self.hosts[rows])
 
 
 def _scope(sample_set, indices):
@@ -55,116 +66,100 @@ def grow_to_points(p, sample_set: SampleSet, cache: IntersectionCache = None,
     Tangent points are generated per sphere (both sides), intersection points
     and circle extremes come from the cache; every candidate except the query
     point itself is filtered by the coverage test, since a covered point can
-    never lie on a surface realizing the samples.
+    never lie on a surface realizing the samples.  The query point is row 0.
     """
     p = np.asarray(p, dtype=np.float64)
     cache = ensure_cache(sample_set, cache)
     scope = _scope(sample_set, indices)
     tol = sample_set.tol_geom
-    out = [GrowToCandidate(p.copy(), "self", ())]
-    if len(sample_set) == 0:
-        return out
+    points = [p[None, :]]
+    kinds = [SELF]
+    hosts = [np.full((1, 3), -1, dtype=np.intp)]
 
+    def add(kind, qpts, qhosts, sel):
+        qhosts = qhosts[sel]
+        padded = np.full((qhosts.shape[0], 3), -1, dtype=np.intp)
+        padded[:, :qhosts.shape[1]] = qhosts
+        points.append(qpts[sel])
+        kinds.extend([kind] * qhosts.shape[0])
+        hosts.append(padded)
+
+    def near(dists):
+        if max_dist is None:
+            return np.ones(dists.shape[0], dtype=bool)
+        return dists <= max_dist + tol
+
+    # tangent points, both sides of every sphere
     pts = sample_set.points[scope]
     radii = sample_set.radii[scope]
     delta = p[None, :] - pts
     dist = np.linalg.norm(delta, axis=1)
     ok = dist > sample_set.tol_unique
-
-    # tangent points, both sides of every sphere
     with np.errstate(invalid="ignore", divide="ignore"):
         dirs = delta / dist[:, None]
-    cand_pts = []
-    cand_host = []
-    for side in (1.0, -1.0):
-        qs = pts + side * radii[:, None] * dirs
-        qd = np.where(ok,
-                      np.abs(dist - radii) if side > 0 else dist + radii,
-                      np.inf)
-        sel = ok & ((qd <= max_dist + tol) if max_dist is not None
-                    else np.ones_like(ok))
-        for row in np.nonzero(sel)[0]:
-            cand_pts.append(qs[row])
-            cand_host.append(int(scope[row]))
-    if cand_pts:
-        cand_pts = np.asarray(cand_pts)
-        keep = points_uncovered(cand_pts, sample_set, indices=scope)
-        for row in np.nonzero(keep)[0]:
-            i = cand_host[row]
-            out.append(GrowToCandidate(cand_pts[row], "tangent",
-                                       ((i, sample_set[i]),)))
+    qs = np.vstack([pts + radii[:, None] * dirs, pts - radii[:, None] * dirs])
+    qd = np.concatenate([np.abs(dist - radii), dist + radii])
+    sel = np.nonzero(np.concatenate([ok, ok]) & near(qd))[0]
+    qs, qhosts = qs[sel], np.concatenate([scope, scope])[sel, None]
+    add(TANGENT, qs, qhosts, points_uncovered(qs, sample_set, indices=scope))
 
     # uncovered intersection points (cache invariant: already coverage-tested)
-    rows, upts = cache.points_array()
-    if upts.shape[0]:
-        ud = np.linalg.norm(upts - p[None, :], axis=1)
-        sel = np.ones(upts.shape[0], dtype=bool)
-        if max_dist is not None:
-            sel = ud <= max_dist + tol
-        for r, row in zip(rows[sel], np.nonzero(sel)[0]):
-            hosts = tuple((h, sample_set[h]) for h in cache.point_hosts(r))
-            out.append(GrowToCandidate(upts[row], "intersection", hosts))
+    phosts, upts = cache.points_array()
+    add(INTERSECTION, upts, phosts,
+        near(np.linalg.norm(upts - p[None, :], axis=1)))
 
     # closest/farthest points of uncovered circles (3D); a circle whose axis
     # carries p has no extreme points and contributes nothing here
     if sample_set.dim == 3:
         extreme_pts, dists, keys = cache.circle_extreme_candidates(
             p, mode == MODE_REPAIR, tol=tol, include_degenerate=False)
-        if extreme_pts.shape[0]:
-            sel = np.ones(extreme_pts.shape[0], dtype=bool)
-            if max_dist is not None:
-                sel = dists <= max_dist + tol
-            extreme_pts = extreme_pts[sel]
-            keys = [k for k, keep in zip(keys, sel) if keep]
-            if extreme_pts.shape[0]:
-                keep = points_uncovered(extreme_pts, sample_set,
-                                        indices=scope)
-                for row in np.nonzero(keep)[0]:
-                    hosts = tuple((h, sample_set[h]) for h in keys[row])
-                    out.append(GrowToCandidate(extreme_pts[row],
-                                               "circle-extreme", hosts))
-    return out
+        sel = near(dists)
+        extreme_pts, keys = extreme_pts[sel], keys[sel]
+        add(CIRCLE_EXTREME, extreme_pts, keys,
+            points_uncovered(extreme_pts, sample_set, indices=scope))
+    return GrowToPoints(np.vstack(points), np.array(kinds, dtype=np.int8),
+                        np.vstack(hosts))
 
 
 # ---------------------------------------------------------------------------
 # scoring
 # ---------------------------------------------------------------------------
 
-def _normals_agree(p, s, host_point, host_value, q):
-    v_c = q - p
-    n_c = np.linalg.norm(v_c)
-    v_h = q - host_point
-    n_h = np.linalg.norm(v_h)
-    if n_c <= 0.0 or n_h <= 0.0:
-        return False
-    flip_c = -1.0 if s < 0 else 1.0
-    flip_h = -1.0 if host_value < 0 else 1.0
-    return flip_c * flip_h * float(np.dot(v_c, v_h)) > 0.0
+def _dots(a, b):
+    """Row-wise dot products, each bit-identical to ``np.dot`` on the rows
+    (``np.linalg.norm(v, axis=1)`` can differ from it in the last ulp)."""
+    return np.matmul(a[:, None, :], b[:, :, None])[:, 0, 0]
 
 
-def score_for_radius(p, s, host, candidate: GrowToCandidate, max_radius):
-    """Score of a signed candidate radius.
+def radius_scores(p, s, cands: GrowToPoints, sample_set, max_radius):
+    """Score of each signed radius s[k] grown from p to grow-to point k.
 
     Tangency with agreeing normals is best (3x max radius bonus), agreeing
     intersections next (2x), disagreeing intersections (1x), disagreeing
-    tangencies worst (0).  Larger magnitudes win within a tier and inside
-    values count double.
+    tangencies worst (0); the query point itself gets no bonus.  The normals
+    agree when some host sphere's outward direction at the point, flipped
+    by its sign, matches the candidate's.  Larger magnitudes win within a
+    tier and inside values count double.
     """
-    p = np.asarray(p, dtype=np.float64)
-    if host is not None:
-        hosts = ((None, host),)
-    else:
-        hosts = candidate.hosts
-    agree = any(_normals_agree(p, s, h.point, h.value, candidate.point)
-                for _, h in hosts)
-    if candidate.is_tangency:
-        type_score = 3.0 * max_radius if agree else 0.0
-    elif candidate.kind == "self":
-        type_score = 0.0
-    else:
-        type_score = 2.0 * max_radius if agree else 1.0 * max_radius
-    sign_score = 2.0 if s < 0 else 1.0
-    return sign_score * abs(s) + type_score
+    s = np.asarray(s, dtype=np.float64)
+    v_c = cands.points - np.asarray(p, dtype=np.float64)[None, :]
+    flip_c = np.where(s < 0, -1.0, 1.0)
+    grown = _dots(v_c, v_c) > 0.0
+    agree = np.zeros(len(cands), dtype=bool)
+    for h in cands.hosts.T:
+        real = h >= 0
+        if not np.any(real):
+            continue
+        v_h = cands.points - sample_set.points[h]
+        flip_h = np.where(sample_set.values[h] < 0, -1.0, 1.0)
+        agree |= (real & grown & (_dots(v_h, v_h) > 0.0)
+                  & (flip_c * flip_h * _dots(v_c, v_h) > 0.0))
+    kind = cands.kind
+    type_score = np.where(
+        kind == TANGENT, np.where(agree, 3.0 * max_radius, 0.0),
+        np.where(kind == SELF, 0.0,
+                 np.where(agree, 2.0 * max_radius, 1.0 * max_radius)))
+    return np.where(s < 0, 2.0, 1.0) * np.abs(s) + type_score
 
 
 # ---------------------------------------------------------------------------
@@ -319,68 +314,80 @@ def _containment(sample_set, p, scope):
     return required_sign, lower, ub_all, {1.0: ub_pos, -1.0: ub_neg}
 
 
+def _checked_cache(sample_set, cache):
+    """The set's cache, built if needed, once the set has passed
+    ``check_validity`` against it; raises InputInvalidError otherwise."""
+    from .validity import check_validity
+    cache = ensure_cache(sample_set, cache)
+    report = check_validity(sample_set, cache=cache)
+    if not report.valid:
+        raise InputInvalidError("input set is not a valid discrete SDF",
+                                report)
+    return cache
+
+
+def _ranked_radii(p, sample_set, max_radius, cache, mode, scope):
+    """Candidate signed radii at p, best first.
+
+    Returns (s, the grow-to point of each row, the required sign or None).
+    One row per (grow-to point, allowed sign), pruned by the sign of any
+    sphere containing p, by the containment lower bound, by the
+    opposite-sign and full-coverage upper bounds and by ``max_radius``;
+    ordered by score (high first), then magnitude, sign (inside first) and
+    point coordinates.
+    """
+    tol = sample_set.tol_geom
+    required_sign, lower, ub_all, ub_by_sign = _containment(sample_set, p,
+                                                            scope)
+    allowed = (required_sign,) if required_sign is not None else (1.0, -1.0)
+    reach = min(max_radius, ub_all,
+                max(ub_by_sign[sg] for sg in allowed))
+    cands = grow_to_points(p, sample_set, cache=cache, mode=mode,
+                           indices=scope, max_dist=reach)
+    v = cands.points - p[None, :]
+    dist = np.sqrt(_dots(v, v))[:, None]
+    sg = np.array(allowed, dtype=np.float64)
+    cap = np.array([min(max_radius, ub_all, ub_by_sign[a]) for a in allowed])
+    # (candidate, sign) rows in candidate-major order
+    row, col = np.nonzero(~((dist <= tol) & (sg < 0)) & ~(dist < lower - tol)
+                          & ~(dist > cap + tol))
+    d = dist[row, 0]
+    s = sg[col] * d
+    cands = cands.take(row)
+    score = radius_scores(p, s, cands, sample_set, max_radius)
+    order = np.lexsort(tuple(cands.points.T[::-1]) + (s >= 0, d, -score))
+    return s[order], cands.take(order), required_sign
+
+
 def interpolate_sdf_to(p, sample_set: SampleSet, max_radius=None,
                        cache: IntersectionCache = None, mode=MODE_REFINE,
-                       indices=None, assume_valid=False,
-                       on_fallback=None) -> float:
+                       indices=None, assume_valid=False) -> float:
     """Best-scoring signed distance value at p that keeps the set valid.
 
     Candidates are the signed distances to all grow-to points (both signs),
-    pruned by the sign of any sphere containing p, by the containment lower
-    bound, by the opposite-sign and full-coverage upper bounds and by
-    ``max_radius``; the highest-scoring candidate that passes the validity
+    ranked by ``radius_scores``; the first one that passes the validity
     check wins.  Falls back to the minimum valid radius when floating-point
     trouble leaves nothing valid.
     """
     p = np.asarray(p, dtype=np.float64)
     if not assume_valid:
-        from .validity import check_validity
-        cache = ensure_cache(sample_set, cache)
-        report = check_validity(sample_set, cache=cache)
-        if not report.valid:
-            raise InputInvalidError("input set is not a valid discrete SDF",
-                                    report)
+        cache = _checked_cache(sample_set, cache)
     if max_radius is None:
         max_radius = default_max_radius(sample_set.dim)
     ci = sample_set.find_coincident(p)
     if ci >= 0:
         return float(sample_set.values[ci])
     scope = _scope(sample_set, indices)
-    tol = sample_set.tol_geom
     cache = ensure_cache(sample_set, cache)
-
-    required_sign, lower, ub_all, ub_by_sign = _containment(sample_set, p,
-                                                            scope)
-    allowed = (required_sign,) if required_sign is not None else (1.0, -1.0)
-    reach = min(max_radius, ub_all,
-                max(ub_by_sign[sg] for sg in allowed))
-    candidates = grow_to_points(p, sample_set, cache=cache, mode=mode,
-                                indices=scope, max_dist=reach)
-
-    scored = []
-    for cand in candidates:
-        dist = float(np.linalg.norm(cand.point - p))
-        for sg in allowed:
-            s = sg * dist
-            if dist <= tol and sg < 0:
-                continue
-            if dist < lower - tol:
-                continue
-            if dist > min(max_radius, ub_all, ub_by_sign[sg]) + tol:
-                continue
-            score = score_for_radius(p, s, None, cand, max_radius)
-            scored.append((-score, dist, 0 if s < 0 else 1,
-                           tuple(cand.point), s, cand))
-    scored.sort(key=lambda t: t[:4])
-    for _, dist, _, _, s, cand in scored:
-        if validity_with_candidate(sample_set, p, s, cache=cache,
+    s, cands, required_sign = _ranked_radii(p, sample_set, max_radius, cache,
+                                            mode, scope)
+    for value, kind in zip(s.tolist(), cands.kind.tolist()):
+        if validity_with_candidate(sample_set, p, value, cache=cache,
                                    indices=scope,
-                                   q_hint_uncovered=(cand.kind != "self")):
-            return float(s)
+                                   q_hint_uncovered=(kind != SELF)):
+            return value
     # floating-point pathologies can reject every candidate; the minimum
     # valid radius needs no validity checks and always exists
-    if on_fallback is not None:
-        on_fallback()
     return min_valid_radius(p, sample_set, lower_bound=0.0,
                             sign=required_sign, cache=cache,
                             mode=MODE_REPAIR, indices=indices,
@@ -405,12 +412,7 @@ def min_valid_radius(p, sample_set: SampleSet, lower_bound=0.0, sign=None,
     """
     p = np.asarray(p, dtype=np.float64)
     if not assume_valid:
-        from .validity import check_validity
-        cache = ensure_cache(sample_set, cache)
-        report = check_validity(sample_set, cache=cache)
-        if not report.valid:
-            raise InputInvalidError("input set is not a valid discrete SDF",
-                                    report)
+        cache = _checked_cache(sample_set, cache)
     ci = sample_set.find_coincident(p)
     if ci >= 0:
         return float(sample_set.values[ci])

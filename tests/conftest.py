@@ -1,10 +1,17 @@
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
+from sdfgrow.accel import IntersectionCache, ensure_cache
 from sdfgrow.core import SampleSet
-from sdfgrow.geom import circle_pair_intersect_2d, sphere_triple_intersect_3d
+from sdfgrow.geom import (
+    circle_pair_intersect_2d,
+    points_uncovered,
+    sphere_triple_intersect_3d,
+)
+from sdfgrow.interp import MODE_REFINE, MODE_REPAIR, _containment, _scope
 from sdfgrow.validity import check_validity
 
 
@@ -126,6 +133,154 @@ def raster_nominations_reference(pix, sph, n, dim):
         keys = np.unique(np.concatenate(pair_keys))
         pairs = {(int(k // n), int(k % n)) for k in keys}
     return pairs, triples
+
+
+# ---------------------------------------------------------------------------
+# list-of-objects grow-to ranking, the code that interp._ranked_radii and
+# interp.radius_scores replaced; the cache now returns host rows as arrays,
+# so the two cache reads index them
+# ---------------------------------------------------------------------------
+
+@dataclass
+class GrowToCandidate:
+    point: np.ndarray
+    kind: str                      # self | tangent | intersection | circle-extreme
+    hosts: tuple                   # ((index, SignedSample), ...)
+
+    @property
+    def is_tangency(self):
+        return self.kind == "tangent"
+
+
+def grow_to_points_reference(p, sample_set: SampleSet,
+                             cache: IntersectionCache = None,
+                             mode=MODE_REFINE, indices=None, max_dist=None):
+    p = np.asarray(p, dtype=np.float64)
+    cache = ensure_cache(sample_set, cache)
+    scope = _scope(sample_set, indices)
+    tol = sample_set.tol_geom
+    out = [GrowToCandidate(p.copy(), "self", ())]
+    if len(sample_set) == 0:
+        return out
+
+    pts = sample_set.points[scope]
+    radii = sample_set.radii[scope]
+    delta = p[None, :] - pts
+    dist = np.linalg.norm(delta, axis=1)
+    ok = dist > sample_set.tol_unique
+
+    # tangent points, both sides of every sphere
+    with np.errstate(invalid="ignore", divide="ignore"):
+        dirs = delta / dist[:, None]
+    cand_pts = []
+    cand_host = []
+    for side in (1.0, -1.0):
+        qs = pts + side * radii[:, None] * dirs
+        qd = np.where(ok,
+                      np.abs(dist - radii) if side > 0 else dist + radii,
+                      np.inf)
+        sel = ok & ((qd <= max_dist + tol) if max_dist is not None
+                    else np.ones_like(ok))
+        for row in np.nonzero(sel)[0]:
+            cand_pts.append(qs[row])
+            cand_host.append(int(scope[row]))
+    if cand_pts:
+        cand_pts = np.asarray(cand_pts)
+        keep = points_uncovered(cand_pts, sample_set, indices=scope)
+        for row in np.nonzero(keep)[0]:
+            i = cand_host[row]
+            out.append(GrowToCandidate(cand_pts[row], "tangent",
+                                       ((i, sample_set[i]),)))
+
+    # uncovered intersection points (cache invariant: already coverage-tested)
+    point_hosts, upts = cache.points_array()
+    if upts.shape[0]:
+        ud = np.linalg.norm(upts - p[None, :], axis=1)
+        sel = np.ones(upts.shape[0], dtype=bool)
+        if max_dist is not None:
+            sel = ud <= max_dist + tol
+        for hs, row in zip(point_hosts[sel], np.nonzero(sel)[0]):
+            hosts = tuple((h, sample_set[h]) for h in hs if h >= 0)
+            out.append(GrowToCandidate(upts[row], "intersection", hosts))
+
+    # closest/farthest points of uncovered circles (3D); a circle whose axis
+    # carries p has no extreme points and contributes nothing here
+    if sample_set.dim == 3:
+        extreme_pts, dists, keys = cache.circle_extreme_candidates(
+            p, mode == MODE_REPAIR, tol=tol, include_degenerate=False)
+        if extreme_pts.shape[0]:
+            sel = np.ones(extreme_pts.shape[0], dtype=bool)
+            if max_dist is not None:
+                sel = dists <= max_dist + tol
+            extreme_pts = extreme_pts[sel]
+            keys = [k for k, keep in zip(keys, sel) if keep]
+            if extreme_pts.shape[0]:
+                keep = points_uncovered(extreme_pts, sample_set,
+                                        indices=scope)
+                for row in np.nonzero(keep)[0]:
+                    hosts = tuple((h, sample_set[h]) for h in keys[row])
+                    out.append(GrowToCandidate(extreme_pts[row],
+                                               "circle-extreme", hosts))
+    return out
+
+
+def _normals_agree(p, s, host_point, host_value, q):
+    v_c = q - p
+    n_c = np.linalg.norm(v_c)
+    v_h = q - host_point
+    n_h = np.linalg.norm(v_h)
+    if n_c <= 0.0 or n_h <= 0.0:
+        return False
+    flip_c = -1.0 if s < 0 else 1.0
+    flip_h = -1.0 if host_value < 0 else 1.0
+    return flip_c * flip_h * float(np.dot(v_c, v_h)) > 0.0
+
+
+def score_for_radius(p, s, candidate: GrowToCandidate, max_radius):
+    p = np.asarray(p, dtype=np.float64)
+    hosts = candidate.hosts
+    agree = any(_normals_agree(p, s, h.point, h.value, candidate.point)
+                for _, h in hosts)
+    if candidate.is_tangency:
+        type_score = 3.0 * max_radius if agree else 0.0
+    elif candidate.kind == "self":
+        type_score = 0.0
+    else:
+        type_score = 2.0 * max_radius if agree else 1.0 * max_radius
+    sign_score = 2.0 if s < 0 else 1.0
+    return sign_score * abs(s) + type_score
+
+
+def ranked_radii_reference(p, sample_set, max_radius, cache, mode, scope):
+    """(s, kind, point tuple) of every candidate row, best first, scored one
+    candidate at a time and ordered by a tuple sort."""
+    tol = sample_set.tol_geom
+    required_sign, lower, ub_all, ub_by_sign = _containment(sample_set, p,
+                                                            scope)
+    allowed = (required_sign,) if required_sign is not None else (1.0, -1.0)
+    reach = min(max_radius, ub_all,
+                max(ub_by_sign[sg] for sg in allowed))
+    candidates = grow_to_points_reference(p, sample_set, cache=cache,
+                                          mode=mode, indices=scope,
+                                          max_dist=reach)
+
+    scored = []
+    for cand in candidates:
+        dist = float(np.linalg.norm(cand.point - p))
+        for sg in allowed:
+            s = sg * dist
+            if dist <= tol and sg < 0:
+                continue
+            if dist < lower - tol:
+                continue
+            if dist > min(max_radius, ub_all, ub_by_sign[sg]) + tol:
+                continue
+            score = score_for_radius(p, s, cand, max_radius)
+            scored.append((-score, dist, 0 if s < 0 else 1,
+                           tuple(cand.point), s, cand))
+    scored.sort(key=lambda t: t[:4])
+    return [(s, cand.kind, tuple(cand.point))
+            for _, _, _, _, s, cand in scored]
 
 
 @pytest.fixture

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from sdfgrow.core import AxisDegenerateError, DegenerateGeometryError
+from sdfgrow.accel import build_cache
+from sdfgrow.core import DegenerateGeometryError
 from sdfgrow.geom import (
-    circle_extreme_points,
     circle_pair_intersect_2d,
+    circle_reference_point,
     pair_points_2d_batch,
     point_uncovered,
     points_uncovered,
@@ -160,23 +161,40 @@ class TestPairCircle3d:
 
 
 class TestCircleExtremes:
-    def circle(self):
-        return sphere_pair_circle_3d([0, 0, 0], 1, [1, 0, 0], 1)
+    """``IntersectionCache.circle_extreme_candidates`` over the one circle
+    of two unit spheres at distance 1."""
 
-    def test_on_axis_error(self):
-        with pytest.raises(AxisDegenerateError):
-            circle_extreme_points([2, 0, 0], self.circle())
+    def cache(self):
+        return build_cache(make_set([((0, 0, 0), 1.0), ((1, 0, 0), 1.0)]))
+
+    def extremes(self, p, include_degenerate=True):
+        pts, dists, hosts = self.cache().circle_extreme_candidates(
+            np.asarray(p, dtype=np.float64), True,
+            include_degenerate=include_degenerate)
+        np.testing.assert_allclose(
+            dists, np.linalg.norm(pts - np.asarray(p), axis=1), atol=1e-12)
+        assert hosts.dtype == np.intp and hosts.shape == (len(pts), 2)
+        assert [tuple(h) for h in hosts.tolist()] == [(0, 1)] * len(pts)
+        return pts
+
+    def test_on_axis_reference_point(self):
+        assert self.extremes([2, 0, 0], include_degenerate=False).shape \
+            == (0, 3)
+        pts = self.extremes([2, 0, 0])
+        circle = sphere_pair_circle_3d([0, 0, 0], 1, [1, 0, 0], 1)
+        np.testing.assert_allclose(pts, [circle_reference_point(circle)],
+                                   atol=1e-12)
 
     def test_in_plane(self):
-        near, far = circle_extreme_points([0.5, 2, 0], self.circle())
+        near, far = self.extremes([0.5, 2, 0])
         rho = np.sqrt(3) / 2
         np.testing.assert_allclose(near, [0.5, rho, 0], atol=1e-12)
         np.testing.assert_allclose(far, [0.5, -rho, 0], atol=1e-12)
 
     def test_oblique_matches_parametric_search(self):
-        c = self.circle()
+        c = sphere_pair_circle_3d([0, 0, 0], 1, [1, 0, 0], 1)
         p = np.array([0.5, 1.0, 1.0])
-        near, far = circle_extreme_points(p, c)
+        near, far = self.extremes(p)
         d = np.array([0, 1, 1]) / np.sqrt(2)
         np.testing.assert_allclose(near, c.center + c.radius * d, atol=1e-12)
         np.testing.assert_allclose(far, c.center - c.radius * d, atol=1e-12)

@@ -1,26 +1,74 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sdfgrow.accel import IntersectionCache
-from sdfgrow.core import InputInvalidError, SampleSet, SignedSample
+from sdfgrow.accel import IntersectionCache, build_cache
+from sdfgrow.core import InputInvalidError, SampleSet, default_max_radius
 from sdfgrow.interp import (
+    CIRCLE_EXTREME,
+    INTERSECTION,
+    KIND_NAMES,
     MODE_REFINE,
     MODE_REPAIR,
-    GrowToCandidate,
+    SELF,
+    TANGENT,
+    GrowToPoints,
+    _ranked_radii,
     grow_to_points,
     interpolate_sdf_to,
     min_valid_radius,
-    score_for_radius,
+    radius_scores,
     validity_with_candidate,
 )
 from sdfgrow.fields import circle_sdf, sample_grid
 from sdfgrow.validity import check_validity
 
-from conftest import make_set, random_valid_set, sampled_sdf_set
+from conftest import (
+    make_set,
+    random_valid_set,
+    ranked_radii_reference,
+    sampled_sdf_set,
+)
+
+PROPERTY = settings(derandomize=True, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+SOURCES = st.sampled_from(["exact", "balls", "lattice"])
 
 
 def kinds_and_points(cands):
-    return sorted((c.kind, tuple(np.round(c.point, 7))) for c in cands)
+    return sorted((KIND_NAMES[k], tuple(np.round(q, 7)))
+                  for k, q in zip(cands.kind, cands.points))
+
+
+def circle_extreme_hosts(cands):
+    return {frozenset(int(h) for h in hs if h >= 0)
+            for k, hs in zip(cands.kind, cands.hosts) if k == CIRCLE_EXTREME}
+
+
+def query_case(seed, dim, source):
+    """A valid set and a query point, both from ``seed``.  The set holds
+    scattered samples of a true SDF, rejection-sampled balls, or a lattice
+    of sphere samples queried at a cell corner or a sub-cell center, where
+    symmetry makes candidates tie on score and distance."""
+    rng = np.random.default_rng(seed)
+    if source == "exact":
+        s = sampled_sdf_set(rng, dim, n_points=int(rng.integers(2, 9)))
+    elif source == "balls":
+        s = random_valid_set(rng, dim, max_n=8)
+    else:
+        n = int(rng.integers(3, 6 if dim == 2 else 5))
+        radius = float(rng.uniform(0.3, 0.7))
+        s = sample_grid(lambda q: circle_sdf(q, (0.0,) * dim, radius), dim,
+                        n).to_sample_set()
+        h = 2.0 / n
+        if rng.random() < 0.5:
+            p = -1.0 + h * rng.integers(1, n, dim)
+        else:
+            p = -1.0 + h * (rng.integers(0, n, dim) + 0.5
+                            + 0.25 * rng.choice([-1.0, 1.0], dim))
+        return s, p, rng
+    return s, rng.uniform(-1.0, 1.0, dim), rng
 
 
 class TestGrowToPoints:
@@ -44,15 +92,15 @@ class TestGrowToPoints:
     def test_axis_degenerate_circle_contributes_nothing(self):
         s = make_set([((0, 0, 0), 1.0), ((1, 0, 0), 1.0)])
         cands = grow_to_points(np.array([2.0, 0.0, 0.0]), s)
-        kinds = {c.kind for c in cands}
-        assert "circle-extreme" not in kinds
-        assert "tangent" in kinds
+        kinds = set(cands.kind.tolist())
+        assert CIRCLE_EXTREME not in kinds
+        assert TANGENT in kinds
 
     def test_off_axis_circle_extremes_present(self):
         s = make_set([((0, 0, 0), 1.0), ((1, 0, 0), 1.0)])
         cands = grow_to_points(np.array([0.5, 2.0, 0.0]), s)
-        ext = [tuple(np.round(c.point, 7)) for c in cands
-               if c.kind == "circle-extreme"]
+        ext = [tuple(np.round(q, 7))
+               for q in cands.points[cands.kind == CIRCLE_EXTREME]]
         rho = round(np.sqrt(3) / 2, 7)
         assert (0.5, rho, 0.0) in ext and (0.5, -rho, 0.0) in ext
 
@@ -60,49 +108,91 @@ class TestGrowToPoints:
         s = make_set([((0, 0, 0), 1.0), ((1, 0, 0), 1.0),
                       ((0.5, 1.0, 0), 0.6)])
         p = np.array([0.5, -2.0, 0.0])
-        refine_hosts = {frozenset(h for h, _ in c.hosts)
-                        for c in grow_to_points(p, s, mode=MODE_REFINE)
-                        if c.kind == "circle-extreme"}
-        repair_hosts = {frozenset(h for h, _ in c.hosts)
-                        for c in grow_to_points(p, s, mode=MODE_REPAIR)
-                        if c.kind == "circle-extreme"}
+        refine_hosts = circle_extreme_hosts(
+            grow_to_points(p, s, mode=MODE_REFINE))
+        repair_hosts = circle_extreme_hosts(
+            grow_to_points(p, s, mode=MODE_REPAIR))
         assert frozenset({0, 1}) not in refine_hosts
         assert frozenset({0, 1}) in repair_hosts
+
+    def test_record_layout(self):
+        # the length counts every row, the query point included
+        s = make_set([((0, 0), 1.0), ((1.2, 0), 1.0)])
+        cands = grow_to_points(np.array([0.6, 0.0]), s)
+        assert len(cands) == cands.points.shape[0] == cands.hosts.shape[0]
+        assert cands.kind.dtype == np.int8
+        assert cands.kind[0] == SELF and np.all(cands.hosts[0] == -1)
+        np.testing.assert_array_equal(cands.points[0], [0.6, 0.0])
+        for k, hs in zip(cands.kind, cands.hosts):
+            assert np.count_nonzero(hs >= 0) == \
+                {SELF: 0, TANGENT: 1, INTERSECTION: 2}[k]
+
+
+def one_candidate(point, kind, hosts):
+    return GrowToPoints(np.array([point], dtype=np.float64),
+                        np.array([kind], dtype=np.int8),
+                        np.array([hosts + [-1] * (3 - len(hosts))]))
 
 
 class TestScore:
     def test_tangency_agree(self):
-        p = np.array([0.5, 0.0])
-        cand = GrowToCandidate(np.array([-1.0, 0.0]), "tangent",
-                               ((0, SignedSample(np.array([0.0, 0.0]), 1.0)),))
-        assert score_for_radius(p, 1.5, None, cand, 2.0) == pytest.approx(7.5)
+        s = make_set([((0, 0), 1.0)])
+        cand = one_candidate([-1.0, 0.0], TANGENT, [0])
+        got = radius_scores(np.array([0.5, 0.0]), [1.5], cand, s, 2.0)
+        assert got[0] == pytest.approx(7.5)
 
     def test_tangency_disagree(self):
-        p = np.array([0.7, 0.0])
-        cand = GrowToCandidate(np.array([1.0, 0.0]), "tangent",
-                               ((0, SignedSample(np.array([0.0, 0.0]), 1.0)),))
-        assert score_for_radius(p, -0.3, None, cand, 2.0) \
-            == pytest.approx(0.6)
+        s = make_set([((0, 0), 1.0)])
+        cand = one_candidate([1.0, 0.0], TANGENT, [0])
+        got = radius_scores(np.array([0.7, 0.0]), [-0.3], cand, s, 2.0)
+        assert got[0] == pytest.approx(0.6)
 
     def test_intersection_disagree(self):
-        p = np.array([2.0, 0.0])
-        cand = GrowToCandidate(np.array([1.0, 0.0]), "intersection",
-                               ((0, SignedSample(np.array([0.0, 0.0]), 1.0)),))
-        assert score_for_radius(p, 1.0, None, cand, 2.0) == pytest.approx(3.0)
+        s = make_set([((0, 0), 1.0)])
+        cand = one_candidate([1.0, 0.0], INTERSECTION, [0])
+        got = radius_scores(np.array([2.0, 0.0]), [1.0], cand, s, 2.0)
+        assert got[0] == pytest.approx(3.0)
 
     def test_intersection_agree(self):
-        p = np.array([2.0, 0.0])
-        cand = GrowToCandidate(np.array([1.0, 0.0]), "intersection",
-                               ((0, SignedSample(np.array([0.0, 0.0]), -1.0)),))
-        assert score_for_radius(p, 1.0, None, cand, 2.0) == pytest.approx(5.0)
+        s = make_set([((0, 0), -1.0)])
+        cand = one_candidate([1.0, 0.0], INTERSECTION, [0])
+        got = radius_scores(np.array([2.0, 0.0]), [1.0], cand, s, 2.0)
+        assert got[0] == pytest.approx(5.0)
 
     def test_max_agreement_over_hosts(self):
-        p = np.array([2.0, 0.0])
-        agree = (1, SignedSample(np.array([0.0, 0.0]), -1.0))
-        disagree = (0, SignedSample(np.array([0.0, 0.0]), 1.0))
-        cand = GrowToCandidate(np.array([1.0, 0.0]), "intersection",
-                               (disagree, agree))
-        assert score_for_radius(p, 1.0, None, cand, 2.0) == pytest.approx(5.0)
+        # host 0 disagrees, host 1 (same point, opposite sign) agrees
+        s = make_set([((0, 0), 1.0), ((0, 0), -1.0)])
+        cand = one_candidate([1.0, 0.0], INTERSECTION, [0, 1])
+        got = radius_scores(np.array([2.0, 0.0]), [1.0], cand, s, 2.0)
+        assert got[0] == pytest.approx(5.0)
+
+
+class TestRanking:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_reference_order(self, dim):
+        # exact equality, floats included: the rows feed the validity checks
+        # in this order, so any change moves interpolated values
+        @settings(PROPERTY, max_examples=200 if dim == 2 else 120)
+        @given(seed=st.integers(0, 2 ** 32 - 1), source=SOURCES,
+               mode=st.sampled_from([MODE_REFINE, MODE_REPAIR]),
+               tight=st.booleans(), subset=st.booleans())
+        def check(seed, source, mode, tight, subset):
+            s, p, rng = query_case(seed, dim, source)
+            max_radius = (float(rng.uniform(0.05, 0.5)) if tight
+                          else default_max_radius(dim))
+            scope = np.arange(len(s), dtype=np.intp)
+            if subset:
+                scope = np.flatnonzero(rng.random(len(s)) < 0.7)
+            cache = build_cache(s)
+            want = ranked_radii_reference(p, s, max_radius, cache, mode,
+                                          scope)
+            values, cands, _ = _ranked_radii(p, s, max_radius, cache, mode,
+                                             scope)
+            got = [(v, KIND_NAMES[k], tuple(q)) for v, k, q in
+                   zip(values.tolist(), cands.kind, cands.points)]
+            assert got == want
+
+        check()
 
 
 class TestValidityWithCandidate:
@@ -200,6 +290,23 @@ class TestInterpolate:
                 s2 = s.copy()
                 s2.append(p, v)
                 assert check_validity(s2).valid
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_output_keeps_set_valid(self, dim):
+        @settings(PROPERTY, max_examples=150 if dim == 2 else 80)
+        @given(seed=st.integers(0, 2 ** 32 - 1), source=SOURCES,
+               mode=st.sampled_from([MODE_REFINE, MODE_REPAIR]),
+               tight=st.booleans())
+        def check(seed, source, mode, tight):
+            s, p, rng = query_case(seed, dim, source)
+            max_radius = float(rng.uniform(0.05, 0.5)) if tight else None
+            v = interpolate_sdf_to(p, s, max_radius=max_radius, mode=mode,
+                                   assume_valid=True)
+            s2 = s.copy()
+            s2.append(p, v)
+            assert check_validity(s2).valid, (p, v)
+
+        check()
 
     def test_max_radius_respected(self, rng):
         s = make_set([((0, 0), 1.0)])
