@@ -20,12 +20,10 @@ from .core import (
 )
 from .geom import (
     IntersectionCircle,
-    circle_pair_intersect_2d,
     point_uncovered,
     points_uncovered,
     sphere_has_uncovered_point,
     sphere_pair_circle_3d,
-    sphere_triple_intersect_3d,
 )
 from .validity import (
     ValidityReport,

@@ -14,10 +14,11 @@ import numpy as np
 from .core import DOMAIN_HI, DOMAIN_LO, SampleSet, SdfError
 from .geom import (
     IntersectionCircle,
-    circle_reference_point,
-    circle_triple_points,
+    circle_reference_points,
+    pair_contacts_and_circles,
     pair_points_2d_batch,
     point_to_circle_distances,
+    rowdot,
     sphere_pair_contact_or_circle,
     triple_points_batch,
 )
@@ -198,33 +199,37 @@ class IntersectionCache:
                     self._pts_of[h].add(r)
         self._kdtrees = None
 
-    def add_circle(self, circle, status, signs):
-        hosts = np.sort(np.asarray(circle.hosts, dtype=np.intp))[None, :]
+    def add_circles(self, centers, radii, normals, hosts, status, signs):
+        """Append circles, one row per circle; returns the new row ids."""
+        hosts = np.sort(np.asarray(hosts, dtype=np.intp).reshape(-1, 2),
+                        axis=1)
         has_pos, has_neg = _sign_flags(hosts, signs)
-        (row,) = self._circ.append(
-            center=circle.center[None, :], radius=[circle.radius],
-            normal=circle.normal[None, :], hosts=hosts,
-            status=[status], alive=[True],
+        rows = self._circ.append(
+            center=np.reshape(centers, (-1, 3)), radius=radii,
+            normal=np.reshape(normals, (-1, 3)), hosts=hosts, status=status,
+            alive=np.ones(hosts.shape[0], dtype=bool),
             has_pos=has_pos, has_neg=has_neg)
-        for h in hosts[0].tolist():
-            self._circs_of[h].add(int(row))
+        for r, hs in zip(rows.tolist(), hosts.tolist()):
+            for h in hs:
+                self._circs_of[h].add(r)
+        return rows
 
-    def drop_circle(self, row):
-        self._circ.alive[row] = False
-        for h in self._circ.hosts[row].tolist():
-            self._circs_of[h].discard(int(row))
+    def drop_circles(self, rows):
+        self._circ.alive[rows] = False
+        for r, hs in zip(rows.tolist(), self._circ.hosts[rows].tolist()):
+            for h in hs:
+                self._circs_of[h].discard(r)
 
-    def resolve_cut_circles(self):
-        """A cut circle stays, as partial, iff one of its triple points is
-        still cached (alive, with both circle hosts among its hosts)."""
-        cut = self._circ.alive & (self._circ.status == _CUT)
-        for row in np.nonzero(cut)[0]:
-            i, j = self._circ.hosts[row]
-            rows = self.sphere_point_rows(i)
-            if rows and np.any(self._pt.hosts[rows] == j):
-                self._circ.status[row] = _PARTIAL
-            else:
-                self.drop_circle(row)
+    def resolve_cut_circles(self, rows):
+        """Cut circles (of ``rows``) stay, as partial, iff one of their
+        triple points is still cached (alive, with both circle hosts among
+        its hosts)."""
+        on = self._pts_of
+        kept = np.array([not on.get(i, set()).isdisjoint(on.get(j, ()))
+                         for i, j in self._circ.hosts[rows].tolist()],
+                        dtype=bool)
+        self._circ.status[rows[kept]] = _PARTIAL
+        self.drop_circles(rows[~kept])
 
     def circle(self, row):
         c = self._circ
@@ -284,10 +289,12 @@ class IntersectionCache:
         hosts = [c.hosts[rows[w]]] * 2
         if include_degenerate:
             degenerate = rows[~ok]
-            refs = [circle_reference_point(self.circle(r))
-                    for r in degenerate]
-            pts.append(np.reshape(refs, (-1, 3)))
-            dists.append(np.array([np.linalg.norm(q - p) for q in refs]))
+            refs = circle_reference_points(c.center[degenerate],
+                                           c.normal[degenerate],
+                                           c.radius[degenerate])
+            off = refs - np.asarray(p)
+            pts.append(refs)
+            dists.append(np.sqrt(rowdot(off, off)))
             hosts.append(c.hosts[degenerate])
         return np.vstack(pts), np.concatenate(dists), np.vstack(hosts)
 
@@ -302,13 +309,6 @@ class IntersectionCache:
 
     def alive_rows(self):
         return np.nonzero(self._pt.alive)[0]
-
-    def point_hosts(self, row):
-        return tuple(h for h in self._pt.hosts[row].tolist() if h >= 0)
-
-    def points_and_hosts(self):
-        return [(self._pt.xyz[r], self.point_hosts(r))
-                for r in self.alive_rows()]
 
     def points_array(self, sign=None):
         """(hosts (m, 3), points) of alive cached points; with ``sign``
@@ -535,7 +535,9 @@ def _classify_circle(circle, sample_set, cand):
     cand = cand[(cand != circle.hosts[0]) & (cand != circle.hosts[1])]
     if cand.size == 0:
         return _FULL
-    dmin, dmax = point_to_circle_distances(sample_set.points[cand], circle)
+    dmin, dmax = point_to_circle_distances(sample_set.points[cand],
+                                           circle.center, circle.normal,
+                                           circle.radius)
     radii = sample_set.radii[cand]
     if np.any(dmax < radii - tol):
         return None
@@ -607,8 +609,10 @@ def build_cache(sample_set: SampleSet, raster_res=None, grid=None,
             c, rho = circle.center, circle.radius
             status = _classify_circle(circle, sample_set,
                                       grid.query_bbox(c - rho, c + rho))
-            if status is not None:
-                cache.add_circle(circle, status, signs)   # cut: resolved below
+            if status is not None:                # cut: resolved below
+                cache.add_circles(circle.center, [circle.radius],
+                                  circle.normal, [circle.hosts], [status],
+                                  signs)
 
     # triple points of the raster-nominated triples, batched per pair
     starts = np.flatnonzero(np.diff(triples[:, 0] * n + triples[:, 1],
@@ -625,7 +629,8 @@ def build_cache(sample_set: SampleSet, raster_res=None, grid=None,
     if tri_pts:
         add_uncovered(np.vstack(tri_pts),
                       np.array(tri_hosts, dtype=np.intp).reshape(-1, 3))
-    cache.resolve_cut_circles()
+    circ = cache._circ
+    cache.resolve_cut_circles(np.flatnonzero(circ.status[:circ.n] == _CUT))
     return cache
 
 
@@ -696,60 +701,93 @@ def update_cache_on_insert(cache: IntersectionCache, sample_set: SampleSet,
 
     # 3D: re-classify only the circles the new ball can reach
     swallowed, cut = cache.circles_touched_by_ball(p, r, tol)
-    for row in swallowed:
-        cache.drop_circle(row)
+    cache.drop_circles(swallowed)
+    _insert_features_3d(cache, sample_set, new_index, neighbors, cut)
+    return cache
+
+
+def _insert_features_3d(cache, sample_set, new, neighbors, cut):
+    """The cache write of a 3D insert, each step one array pass over all
+    pairs: the new sphere ``new`` against every neighbour (contact or
+    circle), the status of the new circles and of the ``cut`` rows against
+    their candidate balls, the triple points of each new circle with every
+    neighbour that reaches it, and one coverage test.  Points and circles
+    are appended by neighbour, one circle's points in the order of
+    triple_points_batch."""
+    tol = sample_set.tol_geom
+    pts = sample_set.points
+    radii = sample_set.radii
+    p, r = pts[new], radii[new]
+    contact, circle, mid, rho, normal = pair_contacts_and_circles(
+        p, r, pts[neighbors], radii[neighbors], sample_set.tol_unique, tol)
+    at = np.flatnonzero(circle)             # neighbour position per circle
+    # (circle, candidate ball) rows: the new circles against the
+    # neighbours, the cut circles against every ball near any of them
+    c = cache._circ
+    centers = np.vstack([mid[at], c.center[cut]])
+    normals = np.vstack([normal[at], c.normal[cut]])
+    rhos = np.concatenate([rho[at], c.radius[cut]])
+    hosts = np.vstack([np.column_stack([neighbors[at],
+                                        np.full(at.size, new)]),
+                       c.hosts[cut]])
+    near = np.empty(0, dtype=np.intp)
     if cut.size:
-        reach = cache._circ.radius[cut][:, None]
-        centers = cache._circ.center[cut]
-        near = cache.grid.query_bbox((centers - reach).min(axis=0),
-                                     (centers + reach).max(axis=0))
-        for row in cut:
-            status = _classify_circle(cache.circle(row), sample_set, near)
-            if status is None:
-                cache.drop_circle(row)
-            else:
-                cache._circ.status[row] = status
+        reach = c.radius[cut][:, None]
+        near = cache.grid.query_bbox((c.center[cut] - reach).min(axis=0),
+                                     (c.center[cut] + reach).max(axis=0))
+    ci = np.concatenate([np.repeat(np.arange(at.size), neighbors.size),
+                         np.repeat(np.arange(at.size, len(rhos)), near.size)])
+    ball = np.concatenate([np.tile(neighbors, at.size),
+                           np.tile(near, cut.size)])
+    keep = (ball != hosts[ci, 0]) & (ball != hosts[ci, 1])
+    ci, ball = ci[keep], ball[keep]
+    dmin, dmax = point_to_circle_distances(pts[ball], centers[ci],
+                                           normals[ci], rhos[ci])
+    rb = radii[ball]
+    status = np.where(np.bincount(ci[dmin < rb - tol], minlength=len(rhos)),
+                      _CUT, _FULL)
+    status[np.bincount(ci[dmax < rb - tol], minlength=len(rhos)) > 0] = -1
 
-    # new pair features; host rows are sorted, the new index being largest
-    new_pts, new_hosts = [], []
-    for j in neighbors.tolist():
-        contact, circle = sphere_pair_contact_or_circle(
-            p, r, pts[j], radii[j], (new_index, j), sample_set.tol_unique,
-            tol)
-        if contact is not None:
-            new_pts.append(contact[None, :])
-            new_hosts.append((j, new_index, -1))
-            continue
-        if circle is None:
-            continue
-        status = _classify_circle(circle, sample_set, neighbors)
-        if status is not None:
-            cache.add_circle(circle, status, signs)
-        got, ks, _ = circle_triple_points(p, r, pts[j], radii[j], circle,
-                                          neighbors[neighbors != j],
-                                          sample_set)
-        new_pts.append(got)
-        new_hosts.extend((min(j, k), max(j, k), new_index)
-                         for k in ks.tolist())
-
-    new_pts = np.vstack(new_pts) if new_pts else np.empty((0, 3))
+    # triple points of every new circle with each neighbour reaching it
+    t = np.flatnonzero((ci < at.size) & (dmin < rb + tol))
+    j = neighbors[at[ci[t]]]
+    tri, src = triple_points_batch(p, r, pts[j], radii[j], pts[ball[t]],
+                                   radii[ball[t]], tol)
+    js, ks = j[src], ball[t][src]
+    order = np.argsort(np.concatenate([np.flatnonzero(contact),
+                                       at[ci[t][src]]]), kind="stable")
+    new_pts = np.vstack([mid[contact], tri])[order]
+    new_hosts = np.vstack([
+        np.column_stack([neighbors[contact], np.full(contact.sum(), new),
+                         np.full(contact.sum(), -1)]),
+        np.column_stack([np.minimum(js, ks), np.maximum(js, ks),
+                         np.full(ks.size, new)])])[order]
     if new_pts.shape[0]:
-        new_hosts = np.array(new_hosts, dtype=np.intp)
         # dedupe triples discovered through two different circles, keeping
-        # the first: key = (hosts, point rounded to tol)
+        # the first: key = (hosts, point rounded to tol).  A stable lexsort
+        # puts each key's first row ahead; np.unique(axis=0) finds the same
+        # rows through a structured view, about 4x slower on 40 rows
         keys = np.column_stack([new_hosts,
                                 np.round(new_pts / tol).astype(np.int64)])
-        first = {}
-        for rr, k in enumerate(map(tuple, keys.tolist())):
-            first.setdefault(k, rr)
-        rows = list(first.values())
-        new_pts = new_pts[rows]
-        new_hosts = new_hosts[rows]
+        by_key = np.lexsort(keys.T[::-1])
+        keys = keys[by_key]
+        first = np.sort(by_key[np.append(True, (keys[1:] != keys[:-1])
+                                         .any(axis=1))])
+        new_pts, new_hosts = new_pts[first], new_hosts[first]
         keep = grid_points_uncovered(new_pts, sample_set, cache.grid,
                                      hosts=new_hosts)
-        cache.add_points(new_pts[keep], new_hosts[keep], signs)
-    cache.resolve_cut_circles()
-    return cache
+        cache.add_points(new_pts[keep], new_hosts[keep], sample_set.signs)
+
+    # the cut rows take their new status and the new circles are appended;
+    # the cut ones of both are then resolved against the cached points
+    old = status[at.size:]
+    c.status[cut[old >= 0]] = old[old >= 0]
+    cache.drop_circles(cut[old < 0])
+    born = np.flatnonzero(status[:at.size] >= 0)
+    rows = cache.add_circles(centers[born], rhos[born], normals[born],
+                             hosts[born], status[born], sample_set.signs)
+    cache.resolve_cut_circles(np.concatenate([cut[old == _CUT],
+                                              rows[status[born] == _CUT]]))
 
 
 # ---------------------------------------------------------------------------

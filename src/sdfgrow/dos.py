@@ -82,14 +82,19 @@ def covered_ratio(cell: DosCell, sample_set: SampleSet, indices=None) -> float:
         return 0.0
     dim = sample_set.dim
     steps = (np.arange(8) + 0.5) / 8.0
-    axes = [cell.lo[a] + steps * (cell.hi[a] - cell.lo[a]) for a in range(dim)]
-    grids = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([g.ravel() for g in grids])
-    d = np.linalg.norm(pts[:, None, :] - sample_set.points[idx][None, :, :],
-                       axis=2)
-    inside = np.any(d < sample_set.radii[idx][None, :] - sample_set.tol_geom,
-                    axis=1)
-    return float(np.count_nonzero(inside)) / pts.shape[0]
+    centers = sample_set.points[idx]
+    # squared distances summed axis by axis over the tensor-product lattice,
+    # in the order of np.linalg.norm over the coordinates
+    sq = 0.0
+    for a in range(dim):
+        off = cell.lo[a] + steps * (cell.hi[a] - cell.lo[a])
+        off = off[:, None] - centers[:, a]                  # (8, balls)
+        shape = [1] * dim + [idx.size]
+        shape[a] = 8
+        sq = sq + (off * off).reshape(shape)
+    inside = np.any(np.sqrt(sq) < sample_set.radii[idx] - sample_set.tol_geom,
+                    axis=-1)
+    return float(np.count_nonzero(inside)) / 8 ** dim
 
 
 def build_dos(grid: SdfGrid, kappa=None, raster_res=None,

@@ -38,42 +38,6 @@ class IntersectionCircle:
 # pairwise intersections
 # ---------------------------------------------------------------------------
 
-def circle_pair_intersect_2d(c1, r1, c2, r2, tol_unique=TOL_UNIQUE,
-                             tol_geom=TOL_GEOM):
-    """Intersection points of two circles in the plane.
-
-    Returns 0, 1 (tangency, detected within tol_geom) or 2 points.  Raises
-    DegenerateGeometryError for coincident centers with equal radii (the
-    intersection would be the whole circle).
-    """
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
-    delta = c2 - c1
-    d = float(np.linalg.norm(delta))
-    if d <= tol_unique:
-        if abs(r1 - r2) <= tol_geom:
-            raise DegenerateGeometryError(
-                "coincident circles intersect everywhere")
-        return []
-    u = delta / d
-    ext = d - (r1 + r2)          # > 0: disjoint
-    inn = d - abs(r1 - r2)       # < 0: nested
-    if abs(ext) <= tol_geom or abs(inn) <= tol_geom:
-        # external or internal tangency: single shared point on the line
-        a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-        return [c1 + a * u]
-    if ext > 0.0 or inn < 0.0:
-        return []
-    a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    h_sq = r1 * r1 - a * a
-    if h_sq <= 0.0:
-        return [c1 + a * u]
-    h = np.sqrt(h_sq)
-    mid = c1 + a * u
-    perp = np.array([-u[1], u[0]])
-    return [mid + h * perp, mid - h * perp]
-
-
 def sphere_pair_circle_3d(c1, r1, c2, r2, hosts=(0, 1), tol_unique=TOL_UNIQUE,
                           tol_geom=TOL_GEOM):
     """Intersection circle of two sphere surfaces, or None.
@@ -135,120 +99,105 @@ def sphere_pair_contact_or_circle(c1, r1, c2, r2, hosts=(0, 1),
         return None, None
 
 
-def sphere_triple_intersect_3d(c1, r1, c2, r2, c3, r3, tol_geom=TOL_GEOM):
-    """Common points of three sphere surfaces via trilateration.
+def rowdot(a, b):
+    """Dot products over the last axis, row by row (either side may be one
+    vector for all rows).  Each row is one np.matmul of a 1x3 by a 3x1 block,
+    which runs the dot kernel of the scalar np.dot on that row alone; a BLAS
+    matrix-vector product may round a row differently depending on how many
+    rows the batch holds."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
 
-    Returns 0, 1 (double root within tolerance) or 2 points.  Raises
-    DegenerateGeometryError when the three centers are collinear.
-    """
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
-    c3 = np.asarray(c3, dtype=np.float64)
-    ex = c2 - c1
-    d = float(np.linalg.norm(ex))
-    if d <= tol_geom:
-        raise DegenerateGeometryError("first two centers coincide")
-    ex = ex / d
-    to3 = c3 - c1
-    i = float(np.dot(ex, to3))
-    ey = to3 - i * ex
-    j = float(np.linalg.norm(ey))
-    if j <= tol_geom:
-        raise DegenerateGeometryError("collinear sphere centers")
-    ey = ey / j
-    ez = np.cross(ex, ey)
-    x = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
-    y = (r1 * r1 - r3 * r3 + i * i + j * j) / (2.0 * j) - (i / j) * x
-    z_sq = r1 * r1 - x * x - y * y
-    # tolerance in radius space: perturbing a radius by tol moves z^2 by ~2*r*tol
-    tol_z = 2.0 * max(r1, r2, r3, 1.0) * tol_geom
-    if z_sq < -tol_z:
-        return []
-    base = c1 + x * ex + y * ey
-    if z_sq <= tol_z:
-        return [base]
-    z = np.sqrt(z_sq)
-    return [base + z * ez, base - z * ez]
+
+def pair_contacts_and_circles(c1, r1, c2s, r2s, tol_unique=TOL_UNIQUE,
+                              tol_geom=TOL_GEOM):
+    """sphere_pair_contact_or_circle of sphere (c1, r1) with each sphere
+    (c2s, r2s), row by row and bit for bit.  Returns (contact (m,), circle
+    (m,), point (m, 3), rho (m,), normal (m, 3)): ``point`` is the contact
+    point of a contact row and the circle center of a circle row, ``rho`` the
+    circle radius (0 elsewhere)."""
+    delta = c2s - c1
+    d = np.sqrt(rowdot(delta, delta))
+    apart = d > tol_unique
+    d_safe = np.where(apart, d, 1.0)
+    u = delta / d_safe[:, None]
+    a = (r1 * r1 - r2s * r2s + d * d) / (2.0 * d_safe)
+    contact = apart & ((np.abs(d - (r1 + r2s)) <= tol_geom)
+                       | (np.abs(d - np.abs(r1 - r2s)) <= tol_geom))
+    rho_sq = r1 * r1 - a * a
+    circle = (apart & ~contact & (d < r1 + r2s - tol_geom)
+              & (d > np.abs(r1 - r2s) + tol_geom) & (rho_sq > 0.0))
+    return (contact, circle, c1 + a[:, None] * u,
+            np.sqrt(np.where(circle, rho_sq, 0.0)), u)
 
 
 def triple_points_batch(c1, r1, c2, r2, c3s, r3s, tol_geom=TOL_GEOM):
-    """sphere_triple_intersect_3d for one fixed pair against many third
-    spheres.  Returns (points (m, 3), source row (m,)); collinear rows are
-    skipped."""
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
+    """Common points of three sphere surfaces by trilateration, row by row:
+    the pair (c1, r1), (c2, r2), one for all rows or one per row, against
+    each third sphere (c3s, r3s).  Returns (points (m, 3), source row (m,)):
+    a double root (within tolerance) gives one point, a crossing two; rows
+    whose pair shares a center or whose centers are collinear give none.
+    Points come as the double roots, then the +z and then the -z points,
+    each in row order.  Every row is computed on its own, so it does not
+    depend on the other rows of the batch."""
     c3s = np.atleast_2d(np.asarray(c3s, dtype=np.float64))
     r3s = np.asarray(r3s, dtype=np.float64).ravel()
-    ex = c2 - c1
-    d = float(np.linalg.norm(ex))
-    if d <= tol_geom:
-        return np.empty((0, 3)), np.empty((0,), dtype=np.intp)
-    ex = ex / d
+    c1 = np.asarray(c1, dtype=np.float64)
+    ex = np.asarray(c2, dtype=np.float64) - c1      # (3,) or (m, 3)
+    d = np.sqrt(rowdot(ex, ex))
+    ok = d > tol_geom
+    d_safe = np.where(ok, d, 1.0)
+    ex = ex / d_safe[..., None]
     to3 = c3s - c1
-    i = to3 @ ex
-    ey = to3 - i[:, None] * ex[None, :]
+    i = rowdot(to3, ex)
+    ey = to3 - i[:, None] * ex
     j = np.linalg.norm(ey, axis=1)
-    ok = j > tol_geom
+    ok = ok & (j > tol_geom)
     j_safe = np.where(ok, j, 1.0)
     ey = ey / j_safe[:, None]
     ez = np.empty_like(ey)
-    ez[:, 0] = ex[1] * ey[:, 2] - ex[2] * ey[:, 1]
-    ez[:, 1] = ex[2] * ey[:, 0] - ex[0] * ey[:, 2]
-    ez[:, 2] = ex[0] * ey[:, 1] - ex[1] * ey[:, 0]
-    x = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    ez[:, 0] = ex[..., 1] * ey[:, 2] - ex[..., 2] * ey[:, 1]
+    ez[:, 1] = ex[..., 2] * ey[:, 0] - ex[..., 0] * ey[:, 2]
+    ez[:, 2] = ex[..., 0] * ey[:, 1] - ex[..., 1] * ey[:, 0]
+    x = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d_safe)
     y = (r1 * r1 - r3s * r3s + i * i + j * j) / (2.0 * j_safe) \
         - (i / j_safe) * x
     z_sq = r1 * r1 - x * x - y * y
-    tol_z = 2.0 * np.maximum.reduce([np.full_like(r3s, r1),
-                                     np.full_like(r3s, r2), r3s,
-                                     np.ones_like(r3s)]) * tol_geom
-    base = c1 + x * ex
-    pts = []
-    rows = []
-    double = ok & (np.abs(z_sq) <= tol_z)
-    if np.any(double):
-        idx = np.nonzero(double)[0]
-        pts.append(base + y[idx, None] * ey[idx])
-        rows.append(idx)
-    two = ok & (z_sq > tol_z)
-    if np.any(two):
-        idx = np.nonzero(two)[0]
-        z = np.sqrt(z_sq[idx])
-        mid = base + y[idx, None] * ey[idx]
-        pts.append(mid + z[:, None] * ez[idx])
-        pts.append(mid - z[:, None] * ez[idx])
-        rows.append(idx)
-        rows.append(idx)
-    if not pts:
-        return np.empty((0, 3)), np.empty((0,), dtype=np.intp)
-    return np.vstack(pts), np.concatenate(rows)
+    tol_z = 2.0 * np.maximum(np.maximum(r1, r2), np.maximum(r3s, 1.0)) \
+        * tol_geom
+    mid = c1 + x[..., None] * ex + y[:, None] * ey
+    double = np.flatnonzero(ok & (np.abs(z_sq) <= tol_z))
+    two = np.flatnonzero(ok & (z_sq > tol_z))
+    z = np.sqrt(z_sq[two])[:, None] * ez[two]
+    return (np.vstack([mid[double], mid[two] + z, mid[two] - z]),
+            np.concatenate([double, two, two]))
 
 
-def circle_reference_point(circle: IntersectionCircle):
-    """A deterministic point on the circle, used when the closest/farthest
-    direction is degenerate.  Picks the lexicographically smaller of the two
-    unit directions spanned by the first canonical axis not parallel to the
-    circle normal."""
-    mu = circle.normal
-    axis = np.zeros(3)
-    axis[int(np.argmin(np.abs(mu)))] = 1.0
-    e = np.cross(axis, mu)
-    e = e / np.linalg.norm(e)
-    if tuple(-e) < tuple(e):
-        e = -e
-    return circle.center + circle.radius * e
+def circle_reference_points(centers, normals, radii):
+    """A deterministic point on each circle (rows of centers, unit normals
+    and radii), used when the closest/farthest direction is degenerate.
+    Picks the lexicographically smaller of the two unit directions spanned
+    by the first canonical axis not parallel to the circle normal."""
+    m = normals.shape[0]
+    axis = np.zeros((m, 3))
+    axis[np.arange(m), np.argmin(np.abs(normals), axis=1)] = 1.0
+    e = np.cross(axis, normals)
+    e = e / np.sqrt(rowdot(e, e))[:, None]
+    # -e is the smaller one when the first nonzero component of e is positive
+    first = e[np.arange(m), np.argmax(e != 0.0, axis=1)]
+    e = np.where((first > 0.0)[:, None], -e, e)
+    return centers + radii[:, None] * e
 
 
-def point_to_circle_distances(points, circle: IntersectionCircle):
-    """(min, max) distances from each point to the circle as a set."""
+def point_to_circle_distances(points, center, normal, radius):
+    """(min, max) distances from each point to a circle as a set, row by
+    row: center, normal and radius describe one circle or one per point."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
-    v = points - circle.center
-    along = v @ circle.normal
-    w = along[:, None] * circle.normal[None, :]
-    u = v - w
+    v = points - center
+    along = rowdot(v, normal)
+    u = v - along[:, None] * normal
     nu = np.linalg.norm(u, axis=1)
-    dmin = np.sqrt((nu - circle.radius) ** 2 + along ** 2)
-    dmax = np.sqrt((nu + circle.radius) ** 2 + along ** 2)
+    dmin = np.sqrt((nu - radius) ** 2 + along ** 2)
+    dmax = np.sqrt((nu + radius) ** 2 + along ** 2)
     return dmin, dmax
 
 
@@ -265,7 +214,9 @@ def circle_triple_points(c1, r1, c2, r2, circle, third, sample_set):
     third = np.asarray(third, dtype=np.intp)
     if third.size == 0:
         return np.empty((0, 3)), np.empty((0,), dtype=np.intp), False
-    dmin, _ = point_to_circle_distances(sample_set.points[third], circle)
+    dmin, _ = point_to_circle_distances(sample_set.points[third],
+                                        circle.center, circle.normal,
+                                        circle.radius)
     rk = sample_set.radii[third]
     cut = bool(np.any(dmin < rk - tol))
     touch = third[dmin < rk + tol]
@@ -293,8 +244,10 @@ def pair_candidate_points_3d(c1, r1, c2, r2, third, sample_set):
                                         sample_set)
     if cut:
         return pts, ks
-    return (np.vstack([pts, circle_reference_point(circle)[None, :]]),
-            np.append(ks, -1))
+    ref = circle_reference_points(circle.center[None, :],
+                                  circle.normal[None, :],
+                                  np.array([circle.radius]))
+    return np.vstack([pts, ref]), np.append(ks, -1)
 
 
 # ---------------------------------------------------------------------------

@@ -187,7 +187,8 @@ def _existing_sphere_survives(j, sample_set, p, mag, cache, scope):
         # valid unless the new ball swallows it whole (a partial cut leaves
         # uncovered arcs behind)
         for circle in cache.sphere_full_circles(j):
-            _, dmax = point_to_circle_distances(p[None, :], circle)
+            _, dmax = point_to_circle_distances(p[None, :], circle.center,
+                                                circle.normal, circle.radius)
             if dmax[0] >= mag - tol:
                 return True
     had_candidates = bool(jpts.shape[0]) or \

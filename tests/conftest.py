@@ -4,12 +4,24 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from sdfgrow.accel import IntersectionCache, ensure_cache
-from sdfgrow.core import SampleSet
+from sdfgrow.accel import (
+    _CUT,
+    IntersectionCache,
+    _classify_circle,
+    ensure_cache,
+    grid_points_uncovered,
+)
+from sdfgrow.core import (
+    TOL_GEOM,
+    TOL_UNIQUE,
+    DegenerateGeometryError,
+    SampleSet,
+)
 from sdfgrow.geom import (
-    circle_pair_intersect_2d,
+    IntersectionCircle,
+    circle_triple_points,
     points_uncovered,
-    sphere_triple_intersect_3d,
+    sphere_pair_contact_or_circle,
 )
 from sdfgrow.interp import MODE_REFINE, MODE_REPAIR, _containment, _scope
 from sdfgrow.validity import check_validity
@@ -67,6 +79,105 @@ def sampled_sdf_set(rng, dim, n_points=8):
     d = np.min([np.linalg.norm(pts - c, axis=1) - r
                 for c, r in zip(centers, radii)], axis=0)
     return SampleSet(pts, d)
+
+
+# ---------------------------------------------------------------------------
+# scalar geometry: independent references for the batched routines of
+# sdfgrow.geom and the exhaustive enumerations below
+# ---------------------------------------------------------------------------
+
+def circle_pair_intersect_2d(c1, r1, c2, r2, tol_unique=TOL_UNIQUE,
+                             tol_geom=TOL_GEOM):
+    """Intersection points of two circles in the plane.
+
+    Returns 0, 1 (tangency, detected within tol_geom) or 2 points.  Raises
+    DegenerateGeometryError for coincident centers with equal radii (the
+    intersection would be the whole circle).
+    """
+    c1 = np.asarray(c1, dtype=np.float64)
+    c2 = np.asarray(c2, dtype=np.float64)
+    delta = c2 - c1
+    d = float(np.linalg.norm(delta))
+    if d <= tol_unique:
+        if abs(r1 - r2) <= tol_geom:
+            raise DegenerateGeometryError(
+                "coincident circles intersect everywhere")
+        return []
+    u = delta / d
+    ext = d - (r1 + r2)          # > 0: disjoint
+    inn = d - abs(r1 - r2)       # < 0: nested
+    if abs(ext) <= tol_geom or abs(inn) <= tol_geom:
+        # external or internal tangency: single shared point on the line
+        a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+        return [c1 + a * u]
+    if ext > 0.0 or inn < 0.0:
+        return []
+    a = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    h_sq = r1 * r1 - a * a
+    if h_sq <= 0.0:
+        return [c1 + a * u]
+    h = np.sqrt(h_sq)
+    mid = c1 + a * u
+    perp = np.array([-u[1], u[0]])
+    return [mid + h * perp, mid - h * perp]
+
+
+def sphere_triple_intersect_3d(c1, r1, c2, r2, c3, r3, tol_geom=TOL_GEOM):
+    """Common points of three sphere surfaces via trilateration.
+
+    Returns 0, 1 (double root within tolerance) or 2 points.  Raises
+    DegenerateGeometryError when the three centers are collinear.
+    """
+    c1 = np.asarray(c1, dtype=np.float64)
+    c2 = np.asarray(c2, dtype=np.float64)
+    c3 = np.asarray(c3, dtype=np.float64)
+    ex = c2 - c1
+    d = float(np.linalg.norm(ex))
+    if d <= tol_geom:
+        raise DegenerateGeometryError("first two centers coincide")
+    ex = ex / d
+    to3 = c3 - c1
+    i = float(np.dot(ex, to3))
+    ey = to3 - i * ex
+    j = float(np.linalg.norm(ey))
+    if j <= tol_geom:
+        raise DegenerateGeometryError("collinear sphere centers")
+    ey = ey / j
+    ez = np.cross(ex, ey)
+    x = (r1 * r1 - r2 * r2 + d * d) / (2.0 * d)
+    y = (r1 * r1 - r3 * r3 + i * i + j * j) / (2.0 * j) - (i / j) * x
+    z_sq = r1 * r1 - x * x - y * y
+    # tolerance in radius space: perturbing a radius by tol moves z^2 by ~2*r*tol
+    tol_z = 2.0 * max(r1, r2, r3, 1.0) * tol_geom
+    if z_sq < -tol_z:
+        return []
+    base = c1 + x * ex + y * ey
+    if z_sq <= tol_z:
+        return [base]
+    z = np.sqrt(z_sq)
+    return [base + z * ez, base - z * ez]
+
+
+def circle_reference_point_scalar(circle: IntersectionCircle):
+    """A deterministic point on the circle, used when the closest/farthest
+    direction is degenerate.  Picks the lexicographically smaller of the two
+    unit directions spanned by the first canonical axis not parallel to the
+    circle normal."""
+    mu = circle.normal
+    axis = np.zeros(3)
+    axis[int(np.argmin(np.abs(mu)))] = 1.0
+    e = np.cross(axis, mu)
+    e = e / np.linalg.norm(e)
+    if tuple(-e) < tuple(e):
+        e = -e
+    return circle.center + circle.radius * e
+
+
+def points_and_hosts(cache):
+    """(point, host tuple) of every alive cached point, in row order."""
+    return [(cache._pt.xyz[r],
+             tuple(h for h in cache._pt.hosts[r].tolist() if h >= 0))
+            for r in cache.alive_rows()]
 
 
 def exhaustive_uncovered_pairs_2d(sample_set):
@@ -281,6 +392,85 @@ def ranked_radii_reference(p, sample_set, max_radius, cache, mode, scope):
     scored.sort(key=lambda t: t[:4])
     return [(s, cand.kind, tuple(cand.point))
             for _, _, _, _, s, cand in scored]
+
+
+# ---------------------------------------------------------------------------
+# the per-neighbour 3D insert loop that accel._insert_features_3d replaced;
+# the circle table is now written through add_circles/drop_circles
+# ---------------------------------------------------------------------------
+
+def update_cache_on_insert_reference(cache, sample_set, new_index):
+    tol = sample_set.tol_geom
+    signs = sample_set.signs
+    pts = sample_set.points
+    radii = sample_set.radii
+    p = pts[new_index]
+    r = radii[new_index]
+    cache.remove_points_in_ball(p, r, tol)
+    neighbors = cache.grid.query_bbox(p - r, p + r)
+    cache.grid.insert_balls(p, r)
+    cache.n_synced = len(sample_set)
+
+    def add_circle(circle, status):
+        cache.add_circles(circle.center, [circle.radius], circle.normal,
+                          [circle.hosts], [status], signs)
+
+    # 3D: re-classify only the circles the new ball can reach
+    swallowed, cut = cache.circles_touched_by_ball(p, r, tol)
+    cache.drop_circles(swallowed)
+    if cut.size:
+        reach = cache._circ.radius[cut][:, None]
+        centers = cache._circ.center[cut]
+        near = cache.grid.query_bbox((centers - reach).min(axis=0),
+                                     (centers + reach).max(axis=0))
+        for row in cut:
+            status = _classify_circle(cache.circle(row), sample_set, near)
+            if status is None:
+                cache.drop_circles(np.array([row]))
+            else:
+                cache._circ.status[row] = status
+
+    # new pair features; host rows are sorted, the new index being largest
+    new_pts, new_hosts = [], []
+    for j in neighbors.tolist():
+        contact, circle = sphere_pair_contact_or_circle(
+            p, r, pts[j], radii[j], (new_index, j), sample_set.tol_unique,
+            tol)
+        if contact is not None:
+            new_pts.append(contact[None, :])
+            new_hosts.append((j, new_index, -1))
+            continue
+        if circle is None:
+            continue
+        status = _classify_circle(circle, sample_set, neighbors)
+        if status is not None:
+            add_circle(circle, status)
+        got, ks, _ = circle_triple_points(p, r, pts[j], radii[j], circle,
+                                          neighbors[neighbors != j],
+                                          sample_set)
+        new_pts.append(got)
+        new_hosts.extend((min(j, k), max(j, k), new_index)
+                         for k in ks.tolist())
+
+    new_pts = np.vstack(new_pts) if new_pts else np.empty((0, 3))
+    if new_pts.shape[0]:
+        new_hosts = np.array(new_hosts, dtype=np.intp)
+        # dedupe triples discovered through two different circles, keeping
+        # the first: key = (hosts, point rounded to tol)
+        keys = np.column_stack([new_hosts,
+                                np.round(new_pts / tol).astype(np.int64)])
+        first = {}
+        for rr, k in enumerate(map(tuple, keys.tolist())):
+            first.setdefault(k, rr)
+        rows = list(first.values())
+        new_pts = new_pts[rows]
+        new_hosts = new_hosts[rows]
+        keep = grid_points_uncovered(new_pts, sample_set, cache.grid,
+                                     hosts=new_hosts)
+        cache.add_points(new_pts[keep], new_hosts[keep], signs)
+    c = cache._circ
+    cache.resolve_cut_circles(np.flatnonzero(c.alive & (c.status == _CUT)))
+    return cache
 
 
 @pytest.fixture

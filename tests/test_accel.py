@@ -19,7 +19,7 @@ from sdfgrow.accel import (
     update_cache_on_insert,
 )
 from sdfgrow.core import SampleSet, SdfError
-from sdfgrow.fields import circle_sdf, sample_grid
+from sdfgrow.fields import circle_sdf, sample_grid, sphere_sdf
 from sdfgrow.geom import points_uncovered
 from sdfgrow.validity import find_fully_covered_spheres, sphere_coverage_margin
 
@@ -27,14 +27,16 @@ from conftest import (
     exhaustive_uncovered_pairs_2d,
     exhaustive_uncovered_triples_3d,
     make_set,
+    points_and_hosts,
     random_set,
     raster_nominations_reference,
+    update_cache_on_insert_reference,
 )
 
 
 def cache_point_set(cache, ndigits=7):
     out = set()
-    for pt, hosts in cache.points_and_hosts():
+    for pt, hosts in points_and_hosts(cache):
         out.add(tuple(round(float(x), ndigits) for x in pt)
                 + tuple(sorted(int(h) for h in hosts)))
     return out
@@ -59,7 +61,8 @@ class TestBuildCache2d:
     def test_two_circle_lens(self):
         s = make_set([((0, 0), 1.0), ((1.2, 0), 1.0)])
         cache = build_cache(s)
-        got = sorted(tuple(np.round(p, 7)) for p, _ in cache.points_and_hosts())
+        got = sorted(tuple(np.round(p, 7))
+                     for p, _ in points_and_hosts(cache))
         assert got == [(0.6, -0.8), (0.6, 0.8)]
 
     def test_matches_exhaustive_enumeration(self, rng):
@@ -112,7 +115,7 @@ class TestUpdateOnInsert:
         cache = build_cache(s)
         s.append(np.array([0.6, 0.8]), 0.3)   # swallows the top lens point
         update_cache_on_insert(cache, s, 2)
-        pts = [tuple(np.round(p, 7)) for p, h in cache.points_and_hosts()
+        pts = [tuple(np.round(p, 7)) for p, h in points_and_hosts(cache)
                if set(h) == {0, 1}]
         assert (0.6, 0.8) not in pts
         assert (0.6, -0.8) in pts
@@ -306,6 +309,73 @@ class TestProperties:
             exhaustive = build_cache(s, exhaustive=True)
             assert (find_fully_covered_spheres(s, cache=exhaustive)
                     == find_fully_covered_spheres(s, cache=build_cache(s)))
+
+        check()
+
+
+def cache_tables(cache):
+    """Alive rows of both tables, in row order: (circle hosts, circle
+    statuses, point hosts, points)."""
+    circ, pt = cache._circ, cache._pt
+    c = np.flatnonzero(circ.alive[:circ.n])
+    p = np.flatnonzero(pt.alive[:pt.n])
+    return circ.hosts[c], circ.status[c], pt.hosts[p], pt.xyz[p]
+
+
+class TestInsertKernel:
+    """The batched 3D insert against the per-neighbour loop it replaced
+    (conftest.update_cache_on_insert_reference), on the same inserts."""
+
+    @staticmethod
+    def assert_same(s, inserts):
+        kernel, reference = build_cache(s), build_cache(s)
+        for c, v in inserts:
+            idx = s.append(c, v)
+            update_cache_on_insert(kernel, s, idx)
+            update_cache_on_insert_reference(reference, s, idx)
+            got, want = cache_tables(kernel), cache_tables(reference)
+            for a, b in zip(got[:3], want[:3]):
+                assert np.array_equal(a, b)
+            np.testing.assert_allclose(got[3], want[3], rtol=0, atol=1e-12)
+
+    def test_random_balls(self):
+        # ``touch`` moves an insert onto the surface of an earlier ball, so
+        # that the two spheres meet in a contact point
+        @settings(PROPERTY, max_examples=40)
+        @given(base=balls(3, 1, 8), inserts=balls(3, 1, 4),
+               touch=st.lists(st.integers(-1, 11), min_size=4, max_size=4))
+        def check(base, inserts, touch):
+            s = ball_set(3, base)
+            rows = []
+            for (c, r, sg), j in zip(inserts, touch):
+                c = np.array(c)
+                if 0 <= j < len(s) + len(rows):
+                    cj, rj = (s.points[j], s.radii[j]) if j < len(s) \
+                        else (rows[j - len(s)][0], abs(rows[j - len(s)][1]))
+                    u = (c - cj) / max(np.linalg.norm(c - cj), 1e-3)
+                    c = cj + (rj + r) * u
+                rows.append((c, r * sg))
+            self.assert_same(s, rows)
+
+        check()
+
+    def test_sphere_lattice(self):
+        # exact SDF samples of one sphere on a lattice, refined by exact
+        # samples at random points: spheres that meet almost tangentially
+        # and triple points found through several circles
+        @settings(PROPERTY, max_examples=25)
+        @given(n=st.integers(3, 4), radius=st.floats(0.5, 0.7),
+               center=st.lists(st.floats(-0.05, 0.05), min_size=3,
+                               max_size=3),
+               at=st.lists(st.lists(st.floats(-0.9, 0.9), min_size=3,
+                                    max_size=3), min_size=1, max_size=4))
+        def check(n, radius, center, at):
+            def sdf(p):
+                return sphere_sdf(p, center, radius)
+
+            s = sample_grid(sdf, 3, n, -1.0, 1.0).to_sample_set()
+            self.assert_same(s, [(np.array(q), float(sdf(np.array(q))[0]))
+                                 for q in at])
 
         check()
 

@@ -30,6 +30,7 @@ from sdfgrow.validity import (
 from conftest import (
     exhaustive_uncovered_pairs_2d,
     exhaustive_uncovered_triples_3d,
+    points_and_hosts,
     random_set,
     sampled_sdf_set,
 )
@@ -268,7 +269,7 @@ class TestCriterion8PrefilterCompleteness:
             cache = build_cache(s)
             got = {tuple(round(float(x), 7) for x in pt)
                    + tuple(sorted(int(h) for h in hosts))
-                   for pt, hosts in cache.points_and_hosts()}
+                   for pt, hosts in points_and_hosts(cache)}
             expect = {(x, y, i, j)
                       for x, y, i, j in exhaustive_uncovered_pairs_2d(s)}
             assert got == expect, trial
@@ -286,7 +287,7 @@ class TestCriterion8PrefilterCompleteness:
             got = {t for t in
                    (tuple(round(float(x), 7) for x in pt)
                     + tuple(sorted(int(h) for h in hosts))
-                    for pt, hosts in cache.points_and_hosts())
+                    for pt, hosts in points_and_hosts(cache))
                    if len(t) == 6}
             expect = exhaustive_uncovered_triples_3d(s)
             assert got == expect, trial

@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
-from sdfgrow.core import InputInvalidError, default_kappa, default_tau
+from sdfgrow.core import (
+    InputInvalidError,
+    SampleSet,
+    default_kappa,
+    default_tau,
+)
 from sdfgrow.dos import DosCell, build_dos, covered_ratio, refine
 from sdfgrow.fields import circle_sdf, sample_grid
 from sdfgrow.validity import check_validity, pairwise_lipschitz
@@ -89,6 +96,37 @@ class TestCoveredRatio:
                        value=0.0, sample_index=0, diag=np.sqrt(2),
                        interesting=True, relevant=np.array([0]))
         assert covered_ratio(cell, s) == pytest.approx(0.5, abs=1 / 8)
+
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_norm_of_lattice_offsets(self, dim):
+        # radii sit a tolerance past the distance, from the (512, k, 3)
+        # norm, of a lattice point, where one ulp flips the verdict
+        @settings(derandomize=True, deadline=None, max_examples=60,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 40))
+        def check(seed, k):
+            rng = np.random.default_rng(seed)
+            lo = rng.uniform(-1.0, 0.5, dim)
+            hi = lo + rng.uniform(0.01, 0.5, dim)
+            centers = rng.uniform(-1.2, 1.2, (k, dim))
+            steps = (np.arange(8) + 0.5) / 8.0
+            grids = np.meshgrid(*[lo[a] + steps * (hi[a] - lo[a])
+                                  for a in range(dim)], indexing="ij")
+            lattice = np.column_stack([g.ravel() for g in grids])
+            d = np.linalg.norm(lattice[:, None, :] - centers[None, :, :],
+                               axis=2)
+            radii = d[rng.integers(0, 8 ** dim, k), np.arange(k)] + 1e-6
+            s = SampleSet(centers, radii)
+            inside = np.any(d < s.radii - s.tol_geom, axis=1)
+            cell = DosCell(index=(0,), depth=0, lo=lo, hi=hi,
+                           center=(lo + hi) / 2, value=0.0, sample_index=0,
+                           diag=float(np.linalg.norm(hi - lo)),
+                           interesting=True, relevant=np.arange(k))
+            assert (covered_ratio(cell, s)
+                    == np.count_nonzero(inside) / 8 ** dim)
+
+        check()
 
 
 class TestRefine:

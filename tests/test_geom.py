@@ -1,22 +1,32 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sdfgrow.accel import build_cache
 from sdfgrow.core import DegenerateGeometryError
 from sdfgrow.geom import (
-    circle_pair_intersect_2d,
-    circle_reference_point,
+    IntersectionCircle,
+    circle_reference_points,
+    pair_contacts_and_circles,
     pair_points_2d_batch,
+    point_to_circle_distances,
     point_uncovered,
     points_uncovered,
     sphere_has_uncovered_point,
     sphere_pair_circle_3d,
-    sphere_triple_intersect_3d,
+    sphere_pair_contact_or_circle,
     triple_points_batch,
 )
 from sdfgrow.validity import surface_samples
 
-from conftest import make_set, random_set
+from conftest import (
+    circle_pair_intersect_2d,
+    circle_reference_point_scalar,
+    make_set,
+    random_set,
+    sphere_triple_intersect_3d,
+)
 
 
 class TestCirclePair:
@@ -133,6 +143,93 @@ class TestSphereTriple:
                 tuple(np.round(q, 9)) for q in scalar)
 
 
+PROPERTY = settings(derandomize=True, deadline=None,
+                    suppress_health_check=[HealthCheck.too_slow])
+
+
+def sphere_rows(seed, m, snap):
+    """m random spheres; with ``snap`` centers and radii are multiples of
+    1/4, so that tangencies, shared centers and collinear triples occur."""
+    rng = np.random.default_rng(seed)
+    c = rng.uniform(-0.8, 0.8, (m, 3))
+    r = rng.uniform(0.1, 0.9, m)
+    if snap:
+        c = np.round(c * 4) / 4
+        r = np.round(r * 4) / 4 + 0.25
+    return c, r
+
+
+class TestRowIndependence:
+    """Every row of a batched routine equals the same row computed alone,
+    bit for bit, whatever else the batch holds."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 40),
+           snap=st.booleans(), shared_pair=st.booleans())
+    @settings(PROPERTY, max_examples=60)
+    def test_triple_points(self, seed, m, snap, shared_pair):
+        c, r = sphere_rows(seed, 3 * m, snap)
+        c1, r1, c2, r2 = c[:m], r[:m], c[m:2 * m], r[m:2 * m]
+        if shared_pair:
+            c1, r1, c2, r2 = c1[0], r1[0], c2[0], r2[0]
+        pts, src = triple_points_batch(c1, r1, c2, r2, c[2 * m:], r[2 * m:])
+        for k in range(m):
+            row = (slice(None),) if shared_pair else (slice(k, k + 1),)
+            alone, _ = triple_points_batch(
+                np.reshape(c1, (-1, 3))[row[0]], np.ravel(r1)[row[0]],
+                np.reshape(c2, (-1, 3))[row[0]], np.ravel(r2)[row[0]],
+                c[2 * m + k], r[2 * m + k])
+            assert np.array_equal(pts[src == k], alone)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 40),
+           snap=st.booleans())
+    @settings(PROPERTY, max_examples=60)
+    def test_pairs_and_circle_distances(self, seed, m, snap):
+        c, r = sphere_rows(seed, m + 1, snap)
+        pair = pair_contacts_and_circles(c[0], r[0], c[1:], r[1:])
+        dist = point_to_circle_distances(c[1:], pair[2], pair[4], pair[3])
+        for k in range(m):
+            alone = pair_contacts_and_circles(c[0], r[0], c[1 + k:2 + k],
+                                              r[1 + k:2 + k])
+            for got, one in zip(pair, alone):
+                assert np.array_equal(got[k:k + 1], one)
+            alone = point_to_circle_distances(c[1 + k], pair[2][k],
+                                              pair[4][k], pair[3][k])
+            for got, one in zip(dist, alone):
+                assert np.array_equal(got[k:k + 1], one)
+            # and each row is the scalar pair helper's answer
+            contact, circle = sphere_pair_contact_or_circle(
+                c[0], r[0], c[1 + k], r[1 + k])
+            assert pair[0][k] == (contact is not None)
+            assert pair[1][k] == (circle is not None)
+            if contact is not None:
+                assert np.array_equal(pair[2][k], contact)
+            if circle is not None:
+                assert np.array_equal(pair[2][k], circle.center)
+                assert pair[3][k] == circle.radius
+                assert np.array_equal(pair[4][k], circle.normal)
+
+
+class TestReferencePoints:
+    @given(seed=st.integers(0, 2 ** 32 - 1), m=st.integers(1, 30),
+           zeros=st.integers(0, 2))
+    @settings(PROPERTY, max_examples=80)
+    def test_batch_equals_scalar(self, seed, m, zeros):
+        # unit normals with 0, 1 or 2 zeroed components, signs mixed
+        rng = np.random.default_rng(seed)
+        normals = rng.normal(size=(m, 3))
+        for row in normals:
+            row[rng.permutation(3)[:zeros]] = 0.0
+        normals /= np.linalg.norm(normals, axis=1)[:, None]
+        centers = rng.uniform(-1.0, 1.0, (m, 3))
+        radii = rng.uniform(0.01, 1.0, m)
+        got = circle_reference_points(centers, normals, radii)
+        for k in range(m):
+            circle = IntersectionCircle(center=centers[k], radius=radii[k],
+                                        normal=normals[k], hosts=(0, 1))
+            assert np.array_equal(got[k],
+                                  circle_reference_point_scalar(circle))
+
+
 class TestPairCircle3d:
     def test_symmetric(self):
         c = sphere_pair_circle_3d([0, 0, 0], 1, [1, 0, 0], 1)
@@ -182,7 +279,8 @@ class TestCircleExtremes:
             == (0, 3)
         pts = self.extremes([2, 0, 0])
         circle = sphere_pair_circle_3d([0, 0, 0], 1, [1, 0, 0], 1)
-        np.testing.assert_allclose(pts, [circle_reference_point(circle)],
+        np.testing.assert_allclose(pts,
+                                   [circle_reference_point_scalar(circle)],
                                    atol=1e-12)
 
     def test_in_plane(self):
