@@ -242,7 +242,7 @@ class IntersectionCache:
         """Per circle row: the part u of p - center across the normal, its
         length, the part along the normal, and the circle radius."""
         normals = self._circ.normal[rows]
-        v = np.asarray(p)[None, :] - self._circ.center[rows]
+        v = np.asarray(p) - self._circ.center[rows]
         along = np.einsum("md,md->m", v, normals)
         u = v - along[:, None] * normals
         return u, np.linalg.norm(u, axis=1), along, self._circ.radius[rows]
@@ -262,41 +262,56 @@ class IntersectionCache:
 
     def circle_extreme_candidates(self, p, include_partial, sign=None,
                                   tol=1e-6, include_degenerate=True):
-        """Closest/farthest circle points for every open circle, vectorized.
+        """Closest/farthest points of every open circle from p, as (points
+        (m, 3), distances (m,), host pairs (m, 2)).  ``sign`` keeps only
+        circles with a host sphere of that sign; see ``circle_extremes``."""
+        return self.circle_extremes(
+            np.asarray(p)[None, :], include_partial,
+            None if sign is None else np.array([sign]), tol=tol,
+            include_degenerate=include_degenerate)[:3]
 
-        Returns (points (m, 3), distances (m,), host pairs (m, 2)).
-        Axis-degenerate circles (p on the axis, all points equidistant)
-        contribute their deterministic reference point, or nothing when
-        ``include_degenerate=False``.  ``sign`` keeps only circles with a
-        host sphere of that sign.
-        """
+    def circle_extremes(self, points, include_partial, signs=None,
+                        reach=None, tol=1e-6, include_degenerate=True):
+        """Closest/farthest circle points from every row of ``points``, as
+        (points, distances, host pairs, row of ``points``).  Open circles
+        are the live ones (only the entirely uncovered ones unless
+        ``include_partial``); ``signs`` keeps those with a host sphere of the
+        row's sign, ``reach`` those with |point - center| < reach + radius.
+        An axis-degenerate circle (the point on its axis, all its points
+        equidistant) gives its deterministic reference point, or nothing
+        without ``include_degenerate``."""
         c = self._circ
-        mask = c.alive.copy()
-        if not include_partial:
-            mask &= c.status == _FULL
-        if sign is not None:
-            mask &= c.has_pos if sign > 0 else c.has_neg
-        rows = np.nonzero(mask)[0]
+        rows = np.nonzero(c.alive & (include_partial | (c.status == _FULL)))[0]
+        keep = np.ones((points.shape[0], rows.size), dtype=bool)
+        if signs is not None:
+            keep &= np.where(signs[:, None] > 0, c.has_pos[rows],
+                             c.has_neg[rows])
+        if reach is not None:
+            d2 = sum((c.center[rows][None, :, a] - points[:, a, None]) ** 2
+                     for a in range(3))
+            keep &= d2 < (reach[:, None] + c.radius[rows]) ** 2
+        pi, k = np.nonzero(keep)
+        rows, p = rows[k], points[pi]
         centers = c.center[rows]
         u, nu, along, rho = self._circle_frame(p, rows)
-        ok = nu > tol
-        w = np.nonzero(ok)[0]
+        w = np.nonzero(nu > tol)[0]
         dirs = u[w] / nu[w][:, None]
         pts = [centers[w] + rho[w][:, None] * dirs,
                centers[w] - rho[w][:, None] * dirs]
         dists = [np.sqrt((nu[w] - rho[w]) ** 2 + along[w] ** 2),
                  np.sqrt((nu[w] + rho[w]) ** 2 + along[w] ** 2)]
-        hosts = [c.hosts[rows[w]]] * 2
-        if include_degenerate:
-            degenerate = rows[~ok]
-            refs = circle_reference_points(c.center[degenerate],
-                                           c.normal[degenerate],
-                                           c.radius[degenerate])
-            off = refs - np.asarray(p)
+        src = [w, w]
+        g = np.nonzero(~(nu > tol))[0]
+        if include_degenerate and g.size:
+            refs = circle_reference_points(centers[g], c.normal[rows[g]],
+                                           rho[g])
+            off = refs - p[g]
             pts.append(refs)
             dists.append(np.sqrt(rowdot(off, off)))
-            hosts.append(c.hosts[degenerate])
-        return np.vstack(pts), np.concatenate(dists), np.vstack(hosts)
+            src.append(g)
+        src = np.concatenate(src)
+        return (np.vstack(pts), np.concatenate(dists), c.hosts[rows[src]],
+                pi[src])
 
     # -- queries -----------------------------------------------------------
 

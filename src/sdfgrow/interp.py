@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import accel
 from .accel import IntersectionCache, ensure_cache, grid_points_uncovered
 from .core import InputInvalidError, SampleSet, default_max_radius
 from .geom import (
@@ -411,100 +412,143 @@ def min_valid_radius(p, sample_set: SampleSet, lower_bound=0.0, sign=None,
     lazily in ascending distance order).  Minimality makes validity checks
     unnecessary.  ``lower_bound`` prunes candidates below a known floor.
     """
-    p = np.asarray(p, dtype=np.float64)
     if not assume_valid:
         cache = _checked_cache(sample_set, cache)
-    ci = sample_set.find_coincident(p)
-    if ci >= 0:
-        return float(sample_set.values[ci])
+    return float(min_valid_radii(
+        np.asarray(p, dtype=np.float64)[None, :], sample_set, cache,
+        signs=None if sign is None else [sign], floors=[lower_bound],
+        mode=mode, indices=indices)[0])
+
+
+def min_valid_radii(points, sample_set: SampleSet, cache: IntersectionCache,
+                    signs=None, floors=None, mode=MODE_REPAIR, indices=None):
+    """Minimum valid radius of every row of ``points``: row k equals the
+    one-row call ``min_valid_radius`` with lower bound ``floors[k]`` (default
+    0) and sign ``signs[k]`` (if given), bit for bit.  Each step works on all
+    rows of a chunk at once; no chunk pairs more than ``accel._PAIR_BUDGET``
+    rows with samples or circles.  ``cache`` is built when a row needs it."""
+    points = np.atleast_2d(np.asarray(points, dtype=np.float64))
+    m = points.shape[0]
+    signs = np.full(m, np.nan) if signs is None else np.asarray(signs, float)
+    floors = np.zeros(m) if floors is None else np.asarray(floors, float)
     scope = _scope(sample_set, indices)
-    tol = sample_set.tol_geom
-    pts = sample_set.points[scope]
-    radii = sample_set.radii[scope]
-    signs = sample_set.signs[scope]
-    d = np.linalg.norm(pts - p[None, :], axis=1) if len(scope) else \
-        np.empty((0,))
+    out, a = np.empty(m), 0
+    while a < m:
+        n_circ = 0 if cache is None else np.count_nonzero(cache._circ.alive)
+        b = a + max(1, accel._PAIR_BUDGET // max(len(sample_set), n_circ, 1))
+        out[a:b], cache = _min_valid_chunk(points[a:b], sample_set, cache,
+                                           signs[a:b], floors[a:b], mode,
+                                           scope)
+        a = b
+    return out
+
+
+def _min_valid_chunk(p, sample_set, cache, signs, floors, mode, scope):
+    """Minimum valid radii of the rows of p, and the cache."""
+    tol, k, n = sample_set.tol_geom, p.shape[0], len(sample_set)
+    out = np.zeros(k)
+    # one distance block, each row as find_coincident computes it
+    d_all = np.linalg.norm((sample_set.points[None] - p[:, None]).reshape(
+        -1, sample_set.dim), axis=1).reshape(k, n)
+    todo = np.ones(k, dtype=bool)
+    if n:
+        ci = np.argmin(d_all, axis=1)
+        coincident = d_all[np.arange(k), ci] <= sample_set.tol_unique
+        out[coincident] = sample_set.values[ci[coincident]]
+        todo = ~coincident
+    d = d_all[:, scope]
+    pts, radii = sample_set.points[scope], sample_set.radii[scope]
     inside = d < radii - tol
+    contained = inside.any(axis=1)
 
-    if not np.any(inside):
-        if lower_bound <= tol:
-            return 0.0
-        sg = sign if sign is not None else 1.0
-        cand = sg * lower_bound
-        if validity_with_candidate(sample_set, p, cand, cache=cache,
+    # outside every ball: 0, or the floor itself if the set stays valid
+    for r in np.nonzero(todo & ~contained & (floors > tol))[0]:
+        cand = (1.0 if np.isnan(signs[r]) else signs[r]) * floors[r]
+        if validity_with_candidate(sample_set, p[r], cand, cache=cache,
                                    indices=scope):
-            return float(cand)
-        return 0.0
-
-    if sign is None:
-        depth = radii[inside] - d[inside]
-        sign = float(signs[inside][np.argmax(depth)])
-    floor = max(float(lower_bound), 0.0)
+            out[r] = cand
+    rows = np.nonzero(todo & contained)[0]
+    if rows.size == 0:
+        return out, cache
     cache = ensure_cache(sample_set, cache)
-    rmin = np.inf
+    p, d, d_all, inside = p[rows], d[rows], d_all[rows], inside[rows]
+    # the deepest containing ball forces the sign
+    deepest = np.argmax(np.where(inside, radii - d, -np.inf), axis=1)
+    sign = np.where(np.isnan(signs[rows]), sample_set.signs[scope][deepest],
+                    signs[rows])
+    floor = np.where(0.0 > floors[rows], 0.0, floors[rows])
 
-    # uncovered intersection points on same-sign spheres
-    rmin = min(rmin, _nearest_cached(cache, p, sign, floor - tol))
-
-    # circle extremes (3D), then tangent points of same-sign spheres: the
-    # nearest uncovered one of each kind bounds the answer
+    # the nearest uncovered same-sign intersection point bounds the answer;
+    # a circle extreme (3D) or tangent point beats it only if uncovered, so
+    # only (row, circle) and (row, sphere) pairs that can reach nearer count
+    rmin = _nearest_cached(cache, p, sign, floor - tol)
+    qpts, qd, qrow = [np.empty((0, sample_set.dim))], [], []
     if sample_set.dim == 3:
-        extreme, ed, _ = cache.circle_extreme_candidates(
-            p, mode == MODE_REPAIR, sign=sign, tol=tol)
-        rmin = _nearest_uncovered(extreme, ed, floor - tol, rmin, sample_set,
-                                  cache.grid)
-    same = (signs == sign) & (d > sample_set.tol_unique)
-    rows = np.nonzero(same)[0]
-    if rows.size:
-        u = (p[None, :] - pts[rows]) / d[rows][:, None]
-        q_near = pts[rows] + radii[rows][:, None] * u
-        q_far = pts[rows] - radii[rows][:, None] * u
-        tangent_d = np.concatenate([np.abs(d[rows] - radii[rows]),
-                                    d[rows] + radii[rows]])
-        tangent_q = np.vstack([q_near, q_far])
-        rmin = _nearest_uncovered(tangent_q, tangent_d, floor - tol, rmin,
-                                  sample_set, cache.grid)
-    if not np.isfinite(rmin):
-        rmin = floor
-    return float(sign * max(rmin, floor))
+        got, dist, _, owner = cache.circle_extremes(
+            p, mode == MODE_REPAIR, sign, reach=rmin + tol, tol=tol)
+        qpts, qd, qrow = [got], [dist], [owner]
+    tr, tc = np.nonzero((sample_set.signs[scope] == sign[:, None])
+                        & (d > sample_set.tol_unique)
+                        & (np.abs(d - radii) < rmin[:, None]))
+    dt = d[tr, tc]
+    u = (p[tr] - pts[tc]) / dt[:, None]
+    qpts += [pts[tc] + radii[tc, None] * u, pts[tc] - radii[tc, None] * u]
+    qd = np.concatenate(qd + [np.abs(dt - radii[tc]), dt + radii[tc]])
+    qrow = np.concatenate(qrow + [tr, tr])
+    # a point nearer to p than the deepest ball's depth (less 2 tol) lies
+    # inside that ball, so it cannot be the answer and needs no test
+    lo = np.maximum(floor - tol, (sample_set.radii - d_all).max(axis=1)
+                    - 2.0 * tol)
+    sel = (qd >= lo[qrow]) & (qd < rmin[qrow])
+    rmin = _nearest_uncovered_rows(np.vstack(qpts)[sel], qd[sel], qrow[sel],
+                                   rmin, sample_set, cache.grid)
+    rmin = np.where(np.isfinite(rmin), rmin, floor)
+    out[rows] = sign * np.where(floor > rmin, floor, rmin)
+    return out, cache
 
 
-def _nearest_uncovered(qpts, dists, floor, rmin, sample_set, grid):
-    """Smallest distance in [floor, rmin) whose point is uncovered, else
-    rmin.  Points are coverage-tested lazily, nearest first, in sorted
-    batches of 32: the first uncovered one is the answer."""
-    sel = (dists >= floor) & (dists < rmin)
-    qpts = qpts[sel]
-    dists = dists[sel]
-    order = np.argsort(dists, kind="stable")
-    for a in range(0, order.size, 32):
-        chunk = order[a:a + 32]
-        hit = np.nonzero(grid_points_uncovered(qpts[chunk], sample_set,
-                                               grid))[0]
-        if hit.size:
-            return float(dists[chunk[hit[0]]])
+def _nearest_uncovered_rows(qpts, dists, owner, rmin, sample_set, grid):
+    """Per row, its nearest uncovered point (of rows ``owner``) below rmin,
+    else rmin.  Each round tests the next 32 points of every unresolved row
+    in one coverage call; a row's first uncovered point is its answer."""
+    order = np.lexsort((dists, owner))
+    qpts, dists, owner = qpts[order], dists[order], owner[order]
+    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+    rmin = rmin.copy()
+    for a in range(0, owner.size, 32):
+        take = np.nonzero((rank >= a) & (rank < a + 32)
+                          & (dists < rmin[owner]))[0]
+        if take.size == 0:
+            break
+        hit = take[grid_points_uncovered(qpts[take], sample_set, grid)]
+        done, at = np.unique(owner[hit], return_index=True)
+        rmin[done] = dists[hit[at]]
     return rmin
 
 
 def _nearest_cached(cache, p, sign, floor):
-    """Nearest cached uncovered point on a sphere of the given sign, at
-    distance >= floor; uses a kd-tree when the cache has been frozen."""
-    trees = getattr(cache, "_kdtrees", None)
-    if trees is not None:
-        tree, count = trees[1.0 if sign > 0 else -1.0]
-        if tree is None:
-            return np.inf
-        k = 1
-        while True:
-            dd, _ = tree.query(p, k=min(k, count))
-            dd = np.atleast_1d(dd)
-            hits = dd[dd >= floor]
-            if hits.size:
-                return float(hits[0])
-            if k >= count:
-                return np.inf
-            k = min(4 * k, count)
-    return cache.nearest_point_distance(p, sign, floor=floor)
+    """Per row of p, the nearest cached uncovered point on a sphere of its
+    sign at distance >= floor: one kd-tree query per sign on a frozen cache
+    (a row below its floor asks for more neighbours alone), else a scan."""
+    if cache._kdtrees is None:
+        return np.array([cache.nearest_point_distance(q, sg, floor=f)
+                         for q, sg, f in zip(p, sign, floor)])
+    out = np.full(p.shape[0], np.inf)
+    for sg in (1.0, -1.0):
+        sel = np.nonzero((sign > 0) == (sg > 0))[0]
+        tree, count = cache._kdtrees[sg]
+        if sel.size == 0 or tree is None:
+            continue
+        dd = tree.query(p[sel], k=1)[0]
+        ok = dd >= floor[sel]
+        out[sel[ok]] = dd[ok]
+        for r in sel[~ok]:
+            k = 1
+            while np.isinf(out[r]) and k < count:
+                k = min(4 * k, count)
+                dd = np.atleast_1d(tree.query(p[r], k=k)[0])
+                out[r] = dd[dd >= floor[r]].min(initial=np.inf)
+    return out
 
 
 def freeze_cache_for_queries(cache: IntersectionCache):

@@ -80,57 +80,54 @@ def complete_narrow_band(dos, iso: float = 0.0, workers: int = 1) -> NarrowBand:
     delta_f = hf * np.sqrt(dim)
     delta_0 = h * np.sqrt(dim)
 
-    populated = {cell.index: cell.value
-                 for cell in dos.levels[tau].values()
-                 if cell.sample_index >= 0}
+    def keys(idx):          # fine indices -> flat keys of the fine lattice
+        return np.ravel_multi_index(tuple(np.reshape(idx, (-1, dim)).T),
+                                    fine_res)
+
+    def fill(key):          # s* at the fine points of the keys
+        idx = np.column_stack(np.unravel_index(key, fine_res))
+        return parallel_min_valid_radius(fine_origin + hf * idx, dos.working,
+                                         freeze_cache_for_queries(dos.cache),
+                                         workers=workers)
 
     # coarse prefilter: only root cells whose center value allows the level
     # set (or the dilated band) to enter them
     reach = 0.5 * delta_0 + 2.0 * delta_f + TOL_GEOM
-    cand = []
-    for idx, cell in dos.levels[0].items():
-        if abs(cell.value - iso) <= reach:
-            ranges = [range(i * factor, (i + 1) * factor) for i in idx]
-            cand.extend(itertools.product(*ranges))
+    roots = list(dos.levels[0].items())
+    near = np.abs(np.array([c.value for _, c in roots]) - iso) <= reach
+    root_idx = np.array([i for i, _ in roots], dtype=np.intp).reshape(-1, dim)
+    block = np.indices((factor,) * dim).reshape(dim, -1).T
+    cand = (root_idx[near][:, None, :] * factor + block).reshape(-1, dim)
+    key = keys(cand)
 
-    values = {}
-    missing = []
-    for idx in cand:
-        if idx in populated:
-            values[idx] = populated[idx]
-        else:
-            missing.append(idx)
-    filled = set()
-    if missing:
-        pts = fine_origin + hf * np.asarray(missing, dtype=np.float64)
-        freeze_cache_for_queries(dos.cache)
-        vals = parallel_min_valid_radius(pts, dos.working, dos.cache,
-                                         workers=workers)
-        for idx, v in zip(missing, vals):
-            values[idx] = float(v)
-            filled.add(idx)
+    # populated points keep their values, the others get s*
+    fine = [c for c in dos.levels[tau].values() if c.sample_index >= 0]
+    pop_key = keys(np.array([c.index for c in fine], dtype=np.intp))
+    order = np.argsort(pop_key)
+    filled = ~np.isin(key, pop_key)
+    val = np.empty(key.size)
+    val[~filled] = np.array([c.value for c in fine], dtype=np.float64)[
+        order[np.searchsorted(pop_key, key[~filled], sorter=order)]]
+    if filled.any():
+        val[filled] = fill(key[filled])
 
-    core = {idx for idx, v in values.items() if abs(v - iso) < delta_f}
-    band = set(core)
-    for idx in core:
-        for off in itertools.product((-1, 0, 1), repeat=dim):
-            nb = tuple(i + o for i, o in zip(idx, off))
-            if all(0 <= c < r for c, r in zip(nb, fine_res)):
-                band.add(nb)
-    extra = [idx for idx in band if idx not in values]
-    if extra:
-        pts = fine_origin + hf * np.asarray(extra, dtype=np.float64)
-        freeze_cache_for_queries(dos.cache)
-        vals = parallel_min_valid_radius(pts, dos.working, dos.cache,
-                                         workers=workers)
-        for idx, v in zip(extra, vals):
-            values[idx] = float(v)
-            filled.add(idx)
+    # the core, dilated by one cell inside the lattice; its new points get s*
+    core = cand[np.abs(val - iso) < delta_f]
+    offsets = np.array(list(itertools.product((-1, 0, 1), repeat=dim)))
+    nb = (core[:, None, :] + offsets).reshape(-1, dim)
+    band = np.unique(keys(nb[((nb >= 0) & (nb < fine_res)).all(axis=1)]))
+    extra = np.setdiff1d(band, key)
+    if extra.size:
+        key, val = np.r_[key, extra], np.r_[val, fill(extra)]
+        filled = np.r_[filled, np.ones(extra.size, dtype=bool)]
 
-    band_values = {idx: values[idx] for idx in band}
+    kept = np.isin(key, band)
+    idx = list(map(tuple, np.column_stack(np.unravel_index(
+        key[kept], fine_res)).tolist()))
     return NarrowBand(dim=dim, resolution=fine_res, origin=fine_origin,
-                      spacing=hf, iso=iso, values=band_values,
-                      filled=filled & band)
+                      spacing=hf, iso=iso,
+                      values=dict(zip(idx, val[kept].tolist())),
+                      filled={i for i, f in zip(idx, filled[kept]) if f})
 
 
 def band_from_values(values, resolution, origin, spacing, iso=0.0,

@@ -17,7 +17,8 @@ import numpy as np
 
 from .accel import build_cache
 from .core import NotRepairableError, SampleSet, SdfGrid
-from .interp import MODE_REPAIR, freeze_cache_for_queries, min_valid_radius
+from .interp import (MODE_REPAIR, freeze_cache_for_queries, min_valid_radii,
+                     min_valid_radius)
 from .validity import (
     _contradictory_duplicates,
     _opposite_sign_overlaps,
@@ -62,8 +63,10 @@ def _init_worker(base, cache):
 
 def _chunk_min_valid(args):
     rows, points, signs, floors = args
-    base = _WORK["base"]
-    cache = _WORK["cache"]
+    base, cache = _WORK["base"], _WORK["cache"]
+    if signs is None:
+        return rows, min_valid_radii(points, base, cache, floors=floors,
+                                     mode=MODE_REPAIR)
     out = np.empty(len(rows))
     for k in range(len(rows)):
         out[k] = min_valid_radius(points[k], base, lower_bound=floors[k],
@@ -74,13 +77,13 @@ def _chunk_min_valid(args):
 
 def parallel_min_valid_radius(points, base: SampleSet, cache, workers=1,
                               signs=None, floors=None):
-    """Minimum valid radius for many points against one frozen base set.
-    The result is independent of the worker count."""
+    """Minimum valid radius for many points against one frozen base set:
+    one ``min_valid_radii`` call per chunk, or with per-point ``signs`` one
+    ``min_valid_radius`` call per point.  The result is independent of the
+    worker count."""
     points = np.atleast_2d(np.asarray(points, dtype=np.float64))
     m = points.shape[0]
-    if signs is None:
-        signs = [None] * m
-    if floors is None:
+    if floors is None and signs is not None:
         floors = np.zeros(m)
     out = np.empty(m)
     if m == 0:
@@ -93,8 +96,9 @@ def parallel_min_valid_radius(points, base: SampleSet, cache, workers=1,
     tasks = []
     for a in range(0, m, chunk):
         b = min(a + chunk, m)
-        tasks.append((np.arange(a, b), points[a:b], signs[a:b],
-                      np.asarray(floors)[a:b]))
+        tasks.append((np.arange(a, b), points[a:b],
+                      None if signs is None else signs[a:b],
+                      None if floors is None else np.asarray(floors)[a:b]))
     ctx = multiprocessing.get_context("fork")
     with ctx.Pool(processes=workers, initializer=_init_worker,
                   initargs=(base, cache)) as pool:

@@ -23,7 +23,14 @@ from sdfgrow.geom import (
     points_uncovered,
     sphere_pair_contact_or_circle,
 )
-from sdfgrow.interp import MODE_REFINE, MODE_REPAIR, _containment, _scope
+from sdfgrow.interp import (
+    MODE_REFINE,
+    MODE_REPAIR,
+    _checked_cache,
+    _containment,
+    _scope,
+    validity_with_candidate,
+)
 from sdfgrow.validity import check_validity
 
 
@@ -471,6 +478,121 @@ def update_cache_on_insert_reference(cache, sample_set, new_index):
     c = cache._circ
     cache.resolve_cut_circles(np.flatnonzero(c.alive & (c.status == _CUT)))
     return cache
+
+
+# ---------------------------------------------------------------------------
+# the scalar minimum valid radius that interp.min_valid_radii replaced, with
+# its scalar helpers
+# ---------------------------------------------------------------------------
+
+def min_valid_radius_reference(p, sample_set: SampleSet, lower_bound=0.0,
+                               sign=None,
+                               cache: IntersectionCache = None,
+                               mode=MODE_REPAIR, indices=None,
+                               assume_valid=False) -> float:
+    """The smallest-magnitude signed value at p that keeps the set valid.
+
+    Outside every sphere the answer is 0.  Inside, the sign is forced and the
+    magnitude is the distance from p to the same-sign sphere-union contour:
+    the minimum over uncovered same-sign intersection points, uncovered
+    circle extremes and uncovered tangent points (the latter coverage-tested
+    lazily in ascending distance order).  Minimality makes validity checks
+    unnecessary.  ``lower_bound`` prunes candidates below a known floor.
+    """
+    p = np.asarray(p, dtype=np.float64)
+    if not assume_valid:
+        cache = _checked_cache(sample_set, cache)
+    ci = sample_set.find_coincident(p)
+    if ci >= 0:
+        return float(sample_set.values[ci])
+    scope = _scope(sample_set, indices)
+    tol = sample_set.tol_geom
+    pts = sample_set.points[scope]
+    radii = sample_set.radii[scope]
+    signs = sample_set.signs[scope]
+    d = np.linalg.norm(pts - p[None, :], axis=1) if len(scope) else \
+        np.empty((0,))
+    inside = d < radii - tol
+
+    if not np.any(inside):
+        if lower_bound <= tol:
+            return 0.0
+        sg = sign if sign is not None else 1.0
+        cand = sg * lower_bound
+        if validity_with_candidate(sample_set, p, cand, cache=cache,
+                                   indices=scope):
+            return float(cand)
+        return 0.0
+
+    if sign is None:
+        depth = radii[inside] - d[inside]
+        sign = float(signs[inside][np.argmax(depth)])
+    floor = max(float(lower_bound), 0.0)
+    cache = ensure_cache(sample_set, cache)
+    rmin = np.inf
+
+    # uncovered intersection points on same-sign spheres
+    rmin = min(rmin, _nearest_cached(cache, p, sign, floor - tol))
+
+    # circle extremes (3D), then tangent points of same-sign spheres: the
+    # nearest uncovered one of each kind bounds the answer
+    if sample_set.dim == 3:
+        extreme, ed, _ = cache.circle_extreme_candidates(
+            p, mode == MODE_REPAIR, sign=sign, tol=tol)
+        rmin = _nearest_uncovered(extreme, ed, floor - tol, rmin, sample_set,
+                                  cache.grid)
+    same = (signs == sign) & (d > sample_set.tol_unique)
+    rows = np.nonzero(same)[0]
+    if rows.size:
+        u = (p[None, :] - pts[rows]) / d[rows][:, None]
+        q_near = pts[rows] + radii[rows][:, None] * u
+        q_far = pts[rows] - radii[rows][:, None] * u
+        tangent_d = np.concatenate([np.abs(d[rows] - radii[rows]),
+                                    d[rows] + radii[rows]])
+        tangent_q = np.vstack([q_near, q_far])
+        rmin = _nearest_uncovered(tangent_q, tangent_d, floor - tol, rmin,
+                                  sample_set, cache.grid)
+    if not np.isfinite(rmin):
+        rmin = floor
+    return float(sign * max(rmin, floor))
+
+
+def _nearest_uncovered(qpts, dists, floor, rmin, sample_set, grid):
+    """Smallest distance in [floor, rmin) whose point is uncovered, else
+    rmin.  Points are coverage-tested lazily, nearest first, in sorted
+    batches of 32: the first uncovered one is the answer."""
+    sel = (dists >= floor) & (dists < rmin)
+    qpts = qpts[sel]
+    dists = dists[sel]
+    order = np.argsort(dists, kind="stable")
+    for a in range(0, order.size, 32):
+        chunk = order[a:a + 32]
+        hit = np.nonzero(grid_points_uncovered(qpts[chunk], sample_set,
+                                               grid))[0]
+        if hit.size:
+            return float(dists[chunk[hit[0]]])
+    return rmin
+
+
+def _nearest_cached(cache, p, sign, floor):
+    """Nearest cached uncovered point on a sphere of the given sign, at
+    distance >= floor; uses a kd-tree when the cache has been frozen."""
+    trees = getattr(cache, "_kdtrees", None)
+    if trees is not None:
+        tree, count = trees[1.0 if sign > 0 else -1.0]
+        if tree is None:
+            return np.inf
+        k = 1
+        while True:
+            dd, _ = tree.query(p, k=min(k, count))
+            dd = np.atleast_1d(dd)
+            hits = dd[dd >= floor]
+            if hits.size:
+                return float(hits[0])
+            if k >= count:
+                return np.inf
+            k = min(4 * k, count)
+    return cache.nearest_point_distance(p, sign, floor=floor)
 
 
 @pytest.fixture

@@ -3,8 +3,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sdfgrow import accel, interp
 from sdfgrow.accel import IntersectionCache, build_cache
-from sdfgrow.core import InputInvalidError, SampleSet, default_max_radius
+from sdfgrow.core import (
+    TOL_GEOM,
+    InputInvalidError,
+    SampleSet,
+    default_max_radius,
+)
 from sdfgrow.interp import (
     CIRCLE_EXTREME,
     INTERSECTION,
@@ -15,8 +21,10 @@ from sdfgrow.interp import (
     TANGENT,
     GrowToPoints,
     _ranked_radii,
+    freeze_cache_for_queries,
     grow_to_points,
     interpolate_sdf_to,
+    min_valid_radii,
     min_valid_radius,
     radius_scores,
     validity_with_candidate,
@@ -26,6 +34,7 @@ from sdfgrow.validity import check_validity
 
 from conftest import (
     make_set,
+    min_valid_radius_reference,
     random_valid_set,
     ranked_radii_reference,
     sampled_sdf_set,
@@ -360,3 +369,105 @@ class TestMinValidRadius:
         s = make_set([((0, 0), -1.0), ((2.5, 0), 1.0)])
         assert min_valid_radius(np.array([0.3, 0.0]), s) < 0
         assert interpolate_sdf_to(np.array([0.3, 0.0]), s) < 0
+
+
+class TestMinValidRadii:
+    """The batched minimum valid radii against the scalar function they
+    replaced (conftest.min_valid_radius_reference), row by row."""
+
+    @staticmethod
+    def queries(s, p, rng, cache):
+        """Query rows: the case's point, random points, a sample point
+        (coincident), points outside every ball and, in 3D, points on the
+        axis of a cached circle and just inside its lens."""
+        dim = s.dim
+        rows = [p, *rng.uniform(-1.0, 1.0, (5, dim)),
+                s.points[int(rng.integers(len(s)))],
+                np.full(dim, 3.0), -np.full(dim, 2.5)]
+        for circle, _ in list(cache.circles.values())[:3]:
+            rows.append(circle.center + rng.uniform(-0.4, 0.4)
+                        * circle.normal)
+            e = np.cross(circle.normal, rng.normal(size=3))
+            e /= np.linalg.norm(e)
+            rows.append(circle.center
+                        + rng.uniform(0.7, 0.99) * circle.radius * e)
+        return np.array(rows)
+
+    @staticmethod
+    def assert_same(s, points, cache, signs=None, floors=None,
+                    mode=MODE_REPAIR, indices=None):
+        got = min_valid_radii(points, s, cache, signs=signs, floors=floors,
+                              mode=mode, indices=indices)
+        want = np.array([min_valid_radius_reference(
+            q, s, lower_bound=0.0 if floors is None else floors[k],
+            sign=None if signs is None else signs[k], cache=cache,
+            mode=mode, indices=indices, assume_valid=True)
+            for k, q in enumerate(points)])
+        assert got.tobytes() == want.tobytes(), (got, want)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_equals_reference(self, dim):
+        @settings(PROPERTY, max_examples=40 if dim == 2 else 30)
+        @given(seed=st.integers(0, 2 ** 32 - 1), source=SOURCES,
+               frozen=st.booleans(), forced=st.booleans(),
+               floored=st.booleans(), scoped=st.booleans(),
+               mode=st.sampled_from([MODE_REFINE, MODE_REPAIR]))
+        def check(seed, source, frozen, forced, floored, scoped, mode):
+            s, p, rng = query_case(seed, dim, source)
+            cache = build_cache(s)
+            if frozen:
+                freeze_cache_for_queries(cache)
+            points = self.queries(s, p, rng, cache)
+            m = points.shape[0]
+            signs = rng.choice([-1.0, 1.0], m) if forced else None
+            floors = np.where(rng.random(m) < 0.5, 0.0,
+                              rng.uniform(0.0, 0.5, m)) if floored else None
+            indices = np.sort(rng.choice(len(s), max(1, len(s) - 2),
+                                         replace=False)) if scoped else None
+            self.assert_same(s, points, cache, signs, floors, mode, indices)
+
+        check()
+
+    def test_one_row_per_chunk(self, monkeypatch):
+        s, p, rng = query_case(7, 3, "lattice")
+        cache = freeze_cache_for_queries(build_cache(s))
+        points = self.queries(s, p, rng, cache)
+        whole = min_valid_radii(points, s, cache)
+        chunks = []
+
+        def chunk(p, *args):
+            chunks.append(p.shape[0])
+            return chunk_of(p, *args)
+
+        chunk_of = interp._min_valid_chunk
+        monkeypatch.setattr(interp, "_min_valid_chunk", chunk)
+        monkeypatch.setattr(accel, "_PAIR_BUDGET", 1)
+        assert min_valid_radii(points, s, cache).tobytes() == whole.tobytes()
+        assert chunks == [1] * points.shape[0]
+        self.assert_same(s, points, cache)
+
+    def test_circle_axis_and_coverage_tolerance(self):
+        # on the axis of the circle where two balls meet, every circle
+        # point is nearest; the reference point stands for them all
+        s = make_set([((0, 0, 0), 1.0), ((1, 0, 0), 1.0)])
+        p = np.array([[0.5, 0.0, 0.0]])
+        assert min_valid_radii(p, s, None)[0] == pytest.approx(np.sqrt(0.75))
+        self.assert_same(s, p, build_cache(s))
+        # the nearest tangent point of the second ball lies inside the
+        # first by less than tol, so it counts as uncovered
+        eps = 0.5 * TOL_GEOM
+        s = make_set([((0, 0), 1.0), ((2, 0), 1.0 + eps)])
+        p = np.array([[0.5, 0.0]])
+        assert min_valid_radii(p, s, None)[0] == pytest.approx(0.5 - eps,
+                                                               abs=1e-12)
+        self.assert_same(s, p, build_cache(s))
+
+    def test_first_round_answer_stays(self):
+        # 40 small disjoint balls give 80 uncovered tangent points, more
+        # than one round of 32; the nearest one, on the big ball, is kept
+        t = np.linspace(0.0, 2.0 * np.pi, 40, endpoint=False)
+        s = make_set([((0.0, 0.0), 0.3)]
+                     + [((0.7 * np.cos(a), 0.7 * np.sin(a)), 0.02) for a in t])
+        p = np.array([[0.05, 0.0]])
+        assert min_valid_radii(p, s, None)[0] == pytest.approx(0.25)
+        self.assert_same(s, p, build_cache(s))

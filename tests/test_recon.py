@@ -159,6 +159,15 @@ class TestCompleteNarrowBand:
             if idx not in band.filled:
                 assert v == g.values[g.flat_index(idx)]
 
+    def test_worker_count_invariant(self):
+        g = sample_grid(lambda p: circle_sdf(p, radius=0.6), 2, 8, -1, 1)
+        dos = build_dos(g)
+        refine(dos, 2)
+        a = complete_narrow_band(dos, workers=1)
+        b = complete_narrow_band(dos, workers=2)
+        assert a.filled and a.filled == b.filled
+        assert a.values == b.values
+
     def test_missing_corner_filled_with_min_valid(self):
         g = sample_grid(lambda p: circle_sdf(p, radius=1.0), 2, 15,
                         -1.4, 1.4)
